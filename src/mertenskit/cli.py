@@ -36,7 +36,7 @@ from .config import (
     CapacityError,
 )
 from .gamma import gamma_convergence_study
-from .identities import Identity, IdentityCase, verify_case
+from .identities import WINDOW_EXACT, Identity, IdentityCase, verify_case
 from .induction import induction_sweep, mertens_square_table
 from .sequences import SequenceCache, mertens_sublinear
 
@@ -51,6 +51,9 @@ _INDUCTION_COLUMNS = ("x", "n", "sup_M", "argmax_y", "sup_M_sq",
 _SIEVE_COLUMNS = ("k", "mu", "mertens")
 _MERTENS_COLUMNS = ("x", "mertens")
 _BENCH_COLUMNS = ("operation", "size", "seconds", "result")
+
+_TAIL_CAP = ("eq3/eq13 tail double sums are capped at x <= "
+             f"{TRIPLE_LOOP_FLOAT_BOUND} (TRIPLE_LOOP_FLOAT_BOUND)")
 
 _ID_ORDER = [Identity.EQ1, Identity.EQ2, Identity.EQ3, Identity.EQ5,
              Identity.EQ6, Identity.EQ7, Identity.EQ11, Identity.EQ12,
@@ -104,6 +107,8 @@ def _fmt_cell(v) -> str:
 
 
 def _json_cell(v):
+    if isinstance(v, dict):
+        return {k: _json_cell(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_json_cell(u) for u in v]
     if v is None or isinstance(v, bool):
@@ -154,7 +159,9 @@ def _map_ordered(fn, items, threads: int):
 
 # --- verify ---------------------------------------------------------------
 
-def _verify_cases(config: RunConfig) -> list[IdentityCase]:
+def _verify_cases(config: RunConfig) -> tuple[list[IdentityCase], int]:
+    """The requested cases, and how many eq3/eq13 cases the tail-sum cap
+    leaves out."""
     wanted = config.identities or tuple(i.value for i in _ID_ORDER)
     by_value = {i.value: i for i in _ID_ORDER}
     bad = [w for w in wanted if w not in by_value]
@@ -170,10 +177,12 @@ def _verify_cases(config: RunConfig) -> list[IdentityCase]:
     fixed_s = {Identity.EQ6: 0.0, Identity.EQ7: 1.0, Identity.EQ16: 1.0,
                Identity.EQ17: 0.0, Identity.EQ18: 1.0}
     cases = []
+    skipped = 0
     for ident in ids:
         for x in xs:
             if ident in (Identity.EQ3, Identity.EQ13) and (
                     x > TRIPLE_LOOP_FLOAT_BOUND):
+                skipped += 1
                 continue
             s_eff = fixed_s.get(ident, config.s)
             if ident in (Identity.EQ2, Identity.EQ12):
@@ -181,11 +190,13 @@ def _verify_cases(config: RunConfig) -> list[IdentityCase]:
                     cases.append(IdentityCase(ident, x, j, s_eff, config.mode))
             else:
                 cases.append(IdentityCase(ident, x, None, s_eff, config.mode))
-    return cases
+    return cases, skipped
 
 
 def _run_verify(config: RunConfig) -> int:
-    cases = _verify_cases(config)
+    cases, skipped = _verify_cases(config)
+    if not cases:
+        raise ValueError(f"no cases to run: {_TAIL_CAP}")
     # Window identities only ever index tables up to x; the square
     # family reaches x^2.
     window = (Identity.EQ1, Identity.EQ2, Identity.EQ11, Identity.EQ12)
@@ -196,6 +207,9 @@ def _run_verify(config: RunConfig) -> int:
     for s in sorted({c.s for c in cases}):
         cache.harmonic_float(s)
         cache.oscillatory_float(s)
+    if any(c.identity in WINDOW_EXACT and c.s == 1 and c.mode != "float"
+           for c in cases):
+        cache.exact_sums()
 
     def one(case: IdentityCase) -> dict:
         res = verify_case(case, cache=cache, tolerance=config.tolerance)
@@ -208,6 +222,8 @@ def _run_verify(config: RunConfig) -> int:
     summary = {"cases": len(rows), "failures": len(failures),
                "tolerance": config.tolerance,
                "failed_at": [f"{r['identity']}@x={r['x']}" for r in failures]}
+    if skipped:
+        summary["skipped"] = {"count": skipped, "reason": _TAIL_CAP}
     _emit(config, _VERIFY_COLUMNS, rows, summary)
     return 0 if not failures else 1
 
@@ -236,6 +252,12 @@ def _run_induction(config: RunConfig) -> int:
     mu_values = None
     if config.mu_file:
         mu_values = np.loadtxt(config.mu_file, dtype=np.int64, ndmin=1)
+        bad = np.flatnonzero(np.abs(mu_values) > 1)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"--mu-file: mu values must be -1, 0 or 1; entry {k + 1} "
+                f"is {int(mu_values[k])}")
     report = induction_sweep(config.x_max, n=config.n, grid=config.grid,
                              mu_values=mu_values)
     rows = [{"x": r.x, "n": r.n, "sup_M": r.sup_M, "argmax_y": r.argmax_y,

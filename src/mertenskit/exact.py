@@ -9,9 +9,11 @@ zero iff its scaled numerator is zero.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 import numpy as np
+
+from .arith import primes_up_to
 
 ExactRational = Fraction
 
@@ -19,11 +21,17 @@ __all__ = ["ExactRational", "ScaledSums", "lcm_upto"]
 
 
 def lcm_upto(n: int) -> int:
-    """lcm(1, 2, ..., n); lcm_upto(0) = 1."""
-    acc = 1
-    for k in range(2, n + 1):
-        acc = acc * k // gcd(acc, k)
-    return acc
+    """lcm(1, 2, ..., n); lcm_upto(0) = 1.
+
+    The product over primes p <= n of the largest power of p not above n.
+    """
+    powers = []
+    for p in primes_up_to(n).tolist():
+        q = p
+        while q * p <= n:
+            q *= p
+        powers.append(q)
+    return prod(powers)
 
 
 class ScaledSums:

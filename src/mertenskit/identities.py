@@ -52,6 +52,7 @@ __all__ = [
     "Identity",
     "IdentityCase",
     "Residual",
+    "WINDOW_EXACT",
     "convolution_coeffs",
     "verify_case",
     "verify_eq1",
@@ -87,6 +88,9 @@ class Identity(Enum):
 
 
 _NEEDS_J = {Identity.EQ2, Identity.EQ12}
+# Identities whose exact s = 1 path reads SequenceCache.exact_sums().
+WINDOW_EXACT = frozenset({Identity.EQ1, Identity.EQ2, Identity.EQ11,
+                          Identity.EQ12, Identity.EQ18})
 _FIXED_S = {Identity.EQ6: 0.0, Identity.EQ7: 1.0, Identity.EQ16: 1.0,
             Identity.EQ17: 0.0, Identity.EQ18: 1.0}
 
@@ -199,6 +203,16 @@ def _mu_to(n: int, cache: SequenceCache | None) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
 
 
+def _window_sums(x: int, cache: SequenceCache | None,
+                 mu: np.ndarray) -> ScaledSums:
+    """Exact prefixes to x: the cache's shared table when it reaches x,
+    else a table of its own over `mu`.  A larger common denominator
+    changes no value, since every result is a normalised Fraction."""
+    if cache is not None and cache.limit >= x:
+        return cache.exact_sums()
+    return ScaledSums(x, mu=mu)
+
+
 def _ensure_cache(cache: SequenceCache | None, need: int) -> SequenceCache:
     if cache is not None and cache.limit >= need:
         return cache
@@ -253,7 +267,7 @@ def verify_eq1(x: int, s: float = 1.0, mode: str = "auto",
                     for q, i_lo, i_hi in quotient_blocks(x))
         return _exact(total - 1, total, 1)
     if mode == "exact":
-        ss = ScaledSums(x, mu=_mu_to(x, cache))
+        ss = _window_sums(x, cache, _mu_to(x, cache))
         L = ss.denominator
         num = sum(ss.weights[i] * ss.oscillatory_num[x // i]
                   for i in range(1, x + 1))
@@ -284,7 +298,7 @@ def verify_eq2(x: int, j: int, s: float = 1.0, mode: str = "auto",
         total = sum(int(cache.mertens[xx // (j * i)]) for i in range(1, x + 1))
         return _exact(total - 1, total, 1)
     if mode == "exact":
-        ss = ScaledSums(x, mu=_mu_to(x, cache))
+        ss = _window_sums(x, cache, _mu_to(x, cache))
         L = ss.denominator
         num = sum(ss.weights[i] * ss.oscillatory_num[xx // (j * i)]
                   for i in range(1, x + 1))
@@ -486,7 +500,7 @@ def verify_eq11(x: int, s: float = 1.0, mode: str = "auto",
         total = int(np.dot(mu[1:].astype(np.int64), x // i))
         return _exact(total - 1, total, 1)
     if mode == "exact":
-        ss = ScaledSums(x, mu=mu)
+        ss = _window_sums(x, cache, mu)
         L = ss.denominator
         num = sum(int(mu[i]) * ss.weights[i] * ss.harmonic_num[x // i]
                   for i in range(1, x + 1) if mu[i])
@@ -513,7 +527,7 @@ def verify_eq12(x: int, j: int, s: float = 1.0, mode: str = "auto",
         total = sum(int(mu[i]) * (xx // (j * i)) for i in range(1, x + 1))
         return _exact(total - 1, total, 1)
     if mode == "exact":
-        ss = ScaledSums(x, mu=mu)
+        ss = _window_sums(x, cache, mu)
         L = ss.denominator
         num = sum(int(mu[i]) * ss.weights[i] * ss.harmonic_num[xx // (j * i)]
                   for i in range(1, x + 1) if mu[i])
@@ -590,7 +604,7 @@ def verify_eq18(x: int, mode: str = "auto",
     m_x = int(cache.mertens[x])
     sqfree = [i for i in range(1, x + 1) if mu[i]]
     if mode == "exact":
-        ss = ScaledSums(x, mu=mu)
+        ss = _window_sums(x, cache, mu)
         L = ss.denominator
         a_num = ss.oscillatory_num[x]
         floor_sum = 0

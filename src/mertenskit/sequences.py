@@ -11,7 +11,8 @@ object of study (written m_x for M_x(1)).
 
 Float paths are reproducible by construction: one-shot sums use
 math.fsum (exactly rounded, hence order independent) and prefix tables
-use a Neumaier compensated running sum in ascending k.  Exact paths use
+use a Neumaier compensated running sum in ascending k, vectorised and
+bit-identical to the sequential loop.  Exact paths use
 integers (s = 0) or Fraction (s = 1, bounded input size).
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .arith import MobiusTable, mobius_sieve
 from .config import RATIONAL_BOUND, check_capacity
-from .exact import lcm_upto
+from .exact import ScaledSums, lcm_upto
 
 # Euler-Mascheroni constant, 50 published decimal digits; the float
 # keeps the correctly rounded 17 significant digits.
@@ -54,28 +55,43 @@ class RationalBoundError(ValueError):
 
 
 def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Running sums of `terms` with Neumaier compensation, ascending."""
-    out = np.empty(len(terms), dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(terms.tolist()):
+    """Running sums of `terms` with Neumaier compensation, ascending,
+    after the empty sum 0.0 in slot 0 (length len(terms) + 1).
+
+    The sequential loop
+
         t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+        comp += (total - t) + v  if |total| >= |v|  else  (v - t) + total
+        total = t;  out = total + comp
+
+    vectorised: np.cumsum accumulates in index order, so `total` is the
+    loop's running sum bit for bit.  Each step's error term (Fast2Sum of
+    the larger and the smaller operand) depends only on the old total,
+    the term and the new total, so all of them come at once, and a
+    second np.cumsum adds them in the loop's order.  The result is
+    bit-identical to the loop.
+    """
+    sums = np.empty(len(terms) + 1, dtype=np.float64)
+    sums[0] = 0.0
+    np.cumsum(terms, out=sums[1:])
+    prev, total = sums[:-1], sums[1:]
+    prev_larger = np.abs(prev) >= np.abs(terms)
+    comp = np.where(prev_larger, prev, terms)
+    comp -= total
+    comp += np.where(prev_larger, terms, prev)
+    total += np.cumsum(comp, out=comp)
+    return sums
 
 
 class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
     Eager: mu (int8) and the integer Mertens prefix.  Everything else
-    (float prefix tables per exponent, exact rational prefixes) is built
-    on first use and kept.  Arrays have length limit+1 with slot 0 a
-    zero pad, so table[k] is the value at k with no offset bookkeeping.
+    (float prefix tables per exponent, the one exact ScaledSums table)
+    is built on first use and kept; callers that share a cache across
+    threads build these first, so that the threads only read.  Arrays
+    have length limit+1 with slot 0 a zero pad, so table[k] is the value
+    at k with no offset bookkeeping.
     """
 
     def __init__(self, limit: int):
@@ -90,8 +106,7 @@ class SequenceCache:
             np.cumsum(self.mu[1:], dtype=np.int64),
         ))
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
-        self._exact_m: list[Fraction] | None = None
-        self._exact_h: list[Fraction] | None = None
+        self._exact_sums: ScaledSums | None = None
         self.sublinear_memo: dict[int, int] = {}
 
     def mobius_table(self) -> MobiusTable:
@@ -111,10 +126,8 @@ class SequenceCache:
         else:
             powers = k ** (-float(s))
         if kind == "oscillatory":
-            powers = powers * self.mu[1:]
-        out = np.empty(self.limit + 1, dtype=np.float64)
-        out[0] = 0.0
-        out[1:] = _compensated_cumsum(powers)
+            powers *= self.mu[1:]
+        out = _compensated_cumsum(powers)
         self._float_tables[key] = out
         return out
 
@@ -126,37 +139,29 @@ class SequenceCache:
         """Prefix table of H_k(s) as float64, k = 0..limit."""
         return self._float_prefix("harmonic", s)
 
-    def _exact_prefix(self, kind: str) -> list[Fraction]:
-        cached = self._exact_m if kind == "oscillatory" else self._exact_h
-        if cached is not None:
-            return cached
-        n = min(self.limit, RATIONAL_BOUND)
-        L = lcm_upto(n)
-        vals = [Fraction(0)]
-        acc = 0
-        for k in range(1, n + 1):
-            w = L // k
-            acc += int(self.mu[k]) * w if kind == "oscillatory" else w
-            vals.append(Fraction(acc, L))
-        if kind == "oscillatory":
-            self._exact_m = vals
-        else:
-            self._exact_h = vals
-        return vals
+    def exact_sums(self) -> ScaledSums:
+        """Scaled exact prefixes over 1..min(limit, RATIONAL_BOUND), built
+        once; one common denominator serves every x the table reaches."""
+        if self._exact_sums is None:
+            self._exact_sums = ScaledSums(min(self.limit, RATIONAL_BOUND),
+                                          mu=self.mu)
+        return self._exact_sums
+
+    def _check_exact(self, x: int, what: str) -> None:
+        bound = min(self.limit, RATIONAL_BOUND)
+        if x > bound:
+            raise RationalBoundError(
+                f"exact {what} limited to x <= {bound}, got {x}")
 
     def oscillatory_exact(self, x: int) -> Fraction:
         """m_x = M_x(1) as an exact Fraction; x capped by the rational bound."""
-        if x > min(self.limit, RATIONAL_BOUND):
-            raise RationalBoundError(
-                f"exact m_x limited to x <= {min(self.limit, RATIONAL_BOUND)}, got {x}")
-        return self._exact_prefix("oscillatory")[x]
+        self._check_exact(x, "m_x")
+        return self.exact_sums().oscillatory(x)
 
     def harmonic_exact(self, x: int) -> Fraction:
         """H_x = H_x(1) as an exact Fraction; x capped by the rational bound."""
-        if x > min(self.limit, RATIONAL_BOUND):
-            raise RationalBoundError(
-                f"exact H_x limited to x <= {min(self.limit, RATIONAL_BOUND)}, got {x}")
-        return self._exact_prefix("harmonic")[x]
+        self._check_exact(x, "H_x")
+        return self.exact_sums().harmonic(x)
 
 
 def mertens_value(x: int, cache: SequenceCache) -> int:

@@ -127,6 +127,48 @@ def test_exit_one_on_induction_violation(tmp_path, capsys):
     assert any(r["step_holds"] == "false" for r in rows)
 
 
+def test_exit_two_on_bad_mu_file_value(tmp_path, capsys):
+    mu_file = tmp_path / "mu.txt"
+    mu_file.write_text("\n".join(["1"] * 99 + ["2"] + ["0"] * 2400) + "\n")
+    code, out, err = run_cli(["induction", "--x-max", "50", "--mu-file",
+                              str(mu_file), "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "mu-file" in err and "entry 100 is 2" in err
+
+
+def test_exit_two_on_short_mu_file(tmp_path, capsys):
+    mu_file = tmp_path / "mu.txt"
+    mu_file.write_text("\n".join(["1"] * 2499) + "\n")
+    code, out, err = run_cli(["induction", "--x-max", "50", "--mu-file",
+                              str(mu_file), "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "2500" in err
+
+
+def test_verify_reports_cases_above_tail_cap_as_skipped(capsys):
+    code, out, _ = run_cli(["verify", "--id", "eq3", "--x-min", "55",
+                            "--x-max", "100", "--format", "json",
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["cases"] == 6 and summary["failures"] == 0
+    assert summary["skipped"]["count"] == 40
+    assert "60" in summary["skipped"]["reason"]
+
+
+def test_verify_summary_has_no_skip_record_without_skips(capsys):
+    code, out, _ = run_cli(["verify", "--id", "eq3", "--x-min", "2",
+                            "--x-max", "5", "--format", "json",
+                            "--no-timestamp"], capsys)
+    assert code == 0 and "skipped" not in json.loads(out)["summary"]
+
+
+def test_exit_two_when_every_case_is_above_tail_cap(capsys):
+    code, out, err = run_cli(["verify", "--id", "eq13", "--x-min", "61",
+                              "--x-max", "70", "--no-timestamp"], capsys)
+    assert code == 2 and out == "" and "60" in err
+
+
 def test_exit_one_on_verify_failure(tmp_path, capsys):
     # An absurd tolerance turns rounding noise into failures.
     code, out, _ = run_cli(["verify", "--id", "eq7", "--x-min", "61",

@@ -13,6 +13,7 @@ from mertenskit import ScaledSums, lcm_upto, mobius_sieve
 def test_lcm_upto_small():
     assert [lcm_upto(n) for n in range(0, 7)] == [1, 1, 2, 6, 12, 60, 60]
     assert lcm_upto(10) == lcm(*range(1, 11)) == 2520
+    assert all(lcm_upto(n) == lcm(*range(1, n + 1)) for n in range(0, 401))
 
 
 @given(st.integers(min_value=1, max_value=120))

@@ -10,6 +10,8 @@ from math import fsum, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mertenskit import (
     EULER_GAMMA,
@@ -22,6 +24,15 @@ from mertenskit import (
     mertens_value,
     oscillatory,
 )
+from mertenskit.exact import ScaledSums
+from mertenskit.identities import (
+    verify_eq1,
+    verify_eq2,
+    verify_eq11,
+    verify_eq12,
+    verify_eq18,
+)
+from mertenskit.sequences import _compensated_cumsum
 
 # Published Mertens values M(10^k).
 MERTENS_POWERS = {10: -1, 100: 1, 1000: 2, 10 ** 4: -23, 10 ** 5: -48,
@@ -39,6 +50,12 @@ def test_mertens_published_powers(cache_square):
     for x, expected in MERTENS_POWERS.items():
         assert mertens_value(x, cache_square) == expected
         assert mertens_sublinear(x) == expected
+
+
+def test_mertens_sublinear_large_published():
+    # OEIS A084237: M(10^9) and M(10^10).
+    assert mertens_sublinear(10 ** 9) == -222
+    assert mertens_sublinear(10 ** 10) == -33722
 
 
 def test_mertens_value_range_check(cache_small):
@@ -128,6 +145,83 @@ def test_cache_prefix_tables_match_onepass(cache_small):
             ms = fsum(int(mu[i]) / i ** s for i in range(1, k + 1))
             assert table[k] == pytest.approx(hs, rel=1e-15, abs=1e-15)
             assert osc[k] == pytest.approx(ms, rel=1e-14, abs=1e-14)
+
+
+def _neumaier_loop(terms):
+    """The sequential Neumaier scan, one element at a time, after the
+    empty sum."""
+    out = [0.0]
+    total = comp = 0.0
+    for v in terms:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out.append(total + comp)
+    return np.array(out, dtype=np.float64)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False,
+                    min_value=-1e20, max_value=1e20)
+
+
+@st.composite
+def _scan_inputs(draw):
+    """Harmonic and oscillatory terms, or mixed magnitudes that cancel."""
+    kind = draw(st.sampled_from(("harmonic", "oscillatory", "mixed")))
+    if kind == "mixed":
+        base = draw(st.lists(_finite, min_size=1, max_size=200))
+        # Each value followed by its negation plus a tiny remainder.
+        tiny = draw(st.lists(st.floats(-1e-12, 1e-12), min_size=len(base),
+                             max_size=len(base)))
+        terms = [t for v, e in zip(base, tiny) for t in (v, e - v)]
+        return np.array(draw(st.permutations(terms)), dtype=np.float64)
+    n = draw(st.integers(min_value=1, max_value=3000))
+    s = draw(st.sampled_from((0.5, 1.0, 2.0, 0.25)))
+    k = np.arange(1, n + 1, dtype=np.float64)
+    terms = k ** -s
+    if kind == "oscillatory":
+        terms = terms * SequenceCache(n).mu[1:]
+    return terms
+
+
+@given(_scan_inputs())
+@settings(max_examples=60, deadline=None)
+def test_compensated_cumsum_is_the_sequential_loop_bit_for_bit(terms):
+    assert np.array_equal(_bits(_compensated_cumsum(terms)),
+                          _bits(_neumaier_loop(terms.tolist())))
+
+
+def test_compensated_cumsum_signed_zeros_and_extremes():
+    terms = np.array([-0.0, -0.0, 1e300, -1e300, 5e-324, -0.0, 1.0, -1.0])
+    assert np.array_equal(_bits(_compensated_cumsum(terms)),
+                          _bits(_neumaier_loop(terms.tolist())))
+
+
+def test_window_identities_share_one_exact_table(monkeypatch):
+    built = []
+    init = ScaledSums.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScaledSums, "__init__", counting_init)
+    cache = SequenceCache(400)
+    for x in (2, 7, 19, 20):
+        for verify in (verify_eq1, verify_eq11, verify_eq18):
+            assert verify(x, mode="exact", cache=cache).passed
+        for verify in (verify_eq2, verify_eq12):
+            assert verify(x, x + 1, mode="exact", cache=cache).passed
+    assert cache.oscillatory_exact(200) == oscillatory(200, 1, "exact").value
+    assert cache.harmonic_exact(150) == harmonic(150, 1, "exact")
+    assert len(built) == 1
 
 
 def test_cache_exact_prefixes(cache_small):
