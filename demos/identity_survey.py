@@ -9,17 +9,17 @@ zero is a proof for that x, not a tolerance call.
 """
 
 from mertenskit import Identity, IdentityCase, SequenceCache, verify_case
+from mertenskit.identities import CATALOGUE
 
 cache = SequenceCache(3600)
 
 print(f"{'identity':>8} {'x':>4} {'s':>4} {'kind':>6} {'lhs':>12} residual")
-for ident in Identity:
-    # eq2/eq12 take the nested index j; pin it to the midpoint
-    needs_j = ident.value in ("eq2", "eq12")
+for ident, entry in CATALOGUE.items():
     # counting-weight identities are pinned at s = 0, the rest run at 1
-    s = 0.0 if ident.value in ("eq6", "eq17") else 1.0
+    s = 1.0 if entry.s is None else entry.s
     for x in (4, 9, 12):
-        j = (x + x * x) // 2 if needs_j else None
+        # eq2/eq12 take the nested index j; pin it to the midpoint
+        j = (x + x * x) // 2 if entry.needs_j else None
         case = IdentityCase(ident, x=x, j=j, s=s, mode="exact")
         res = verify_case(case, cache)
         # exact rationals over lcm(1..x^3) get very wide; show a float view

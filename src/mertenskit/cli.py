@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ from .config import (
     CapacityError,
 )
 from .gamma import gamma_convergence_study
-from .identities import WINDOW_EXACT, Identity, IdentityCase, verify_case
+from .identities import CATALOGUE, Identity, IdentityCase, verify_case
 from .induction import induction_sweep, mertens_square_table
 from .sequences import SequenceCache, mertens_sublinear
 
@@ -54,12 +55,6 @@ _BENCH_COLUMNS = ("operation", "size", "seconds", "result")
 
 _TAIL_CAP = ("eq3/eq13 tail double sums are capped at x <= "
              f"{TRIPLE_LOOP_FLOAT_BOUND} (TRIPLE_LOOP_FLOAT_BOUND)")
-
-_ID_ORDER = [Identity.EQ1, Identity.EQ2, Identity.EQ3, Identity.EQ5,
-             Identity.EQ6, Identity.EQ7, Identity.EQ11, Identity.EQ12,
-             Identity.EQ13, Identity.EQ15, Identity.EQ16, Identity.EQ17,
-             Identity.EQ18]
-
 
 @dataclass
 class RunConfig:
@@ -150,10 +145,16 @@ def _emit(config: RunConfig, columns, rows, summary: dict) -> None:
 
 
 def _map_ordered(fn, items, threads: int):
-    """Apply fn preserving input order; threads only add concurrency."""
-    if threads <= 1 or len(items) <= 1:
+    """Apply fn preserving input order; threads only add concurrency.
+
+    The pool never has more workers than items or cores: pool.map submits
+    every item at once, and each submission that finds no idle worker
+    starts a thread up to the pool's limit.
+    """
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -162,34 +163,29 @@ def _map_ordered(fn, items, threads: int):
 def _verify_cases(config: RunConfig) -> tuple[list[IdentityCase], int]:
     """The requested cases, and how many eq3/eq13 cases the tail-sum cap
     leaves out."""
-    wanted = config.identities or tuple(i.value for i in _ID_ORDER)
-    by_value = {i.value: i for i in _ID_ORDER}
-    bad = [w for w in wanted if w not in by_value]
+    known = {i.value for i in Identity}
+    bad = [w for w in config.identities if w not in known]
     if bad:
         raise ValueError(f"unknown identities: {', '.join(bad)}")
-    ids = [i for i in _ID_ORDER if i.value in set(wanted)]
+    wanted = set(config.identities) or known
     if config.x_min < 1 or config.x_max < config.x_min:
         raise ValueError(
             f"need 1 <= x-min <= x-max, got [{config.x_min}, {config.x_max}]")
     if config.step < 1:
         raise ValueError(f"step must be >= 1, got {config.step}")
     xs = list(range(config.x_min, config.x_max + 1, config.step))
-    fixed_s = {Identity.EQ6: 0.0, Identity.EQ7: 1.0, Identity.EQ16: 1.0,
-               Identity.EQ17: 0.0, Identity.EQ18: 1.0}
     cases = []
     skipped = 0
-    for ident in ids:
+    for ident, entry in CATALOGUE.items():
+        if ident.value not in wanted:
+            continue
+        s = config.s if entry.s is None else entry.s
         for x in xs:
-            if ident in (Identity.EQ3, Identity.EQ13) and (
-                    x > TRIPLE_LOOP_FLOAT_BOUND):
+            if entry.x_cap is not None and x > entry.x_cap:
                 skipped += 1
                 continue
-            s_eff = fixed_s.get(ident, config.s)
-            if ident in (Identity.EQ2, Identity.EQ12):
-                for j in sorted({x, (x + x * x) // 2, x * x}):
-                    cases.append(IdentityCase(ident, x, j, s_eff, config.mode))
-            else:
-                cases.append(IdentityCase(ident, x, None, s_eff, config.mode))
+            js = sorted({x, (x + x * x) // 2, x * x}) if entry.needs_j else [None]
+            cases += [IdentityCase(ident, x, j, s, config.mode) for j in js]
     return cases, skipped
 
 
@@ -197,18 +193,15 @@ def _run_verify(config: RunConfig) -> int:
     cases, skipped = _verify_cases(config)
     if not cases:
         raise ValueError(f"no cases to run: {_TAIL_CAP}")
-    # Window identities only ever index tables up to x; the square
-    # family reaches x^2.
-    window = (Identity.EQ1, Identity.EQ2, Identity.EQ11, Identity.EQ12)
-    need = max(c.x if c.identity in window else c.x * c.x for c in cases)
+    need = max(c.x ** CATALOGUE[c.identity].reach for c in cases)
     cache = SequenceCache(need)
     # Warm every lazily built table before fanning out, so worker
     # threads only read shared state.
     for s in sorted({c.s for c in cases}):
         cache.harmonic_float(s)
         cache.oscillatory_float(s)
-    if any(c.identity in WINDOW_EXACT and c.s == 1 and c.mode != "float"
-           for c in cases):
+    if any(CATALOGUE[c.identity].shared_exact and c.s == 1
+           and c.mode != "float" for c in cases):
         cache.exact_sums()
 
     def one(case: IdentityCase) -> dict:
@@ -405,6 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}",
+              file=sys.stderr)
+        return 2
     try:
         points = tuple(int(t) for t in str(
             getattr(args, "points", "")).split(",") if t.strip())
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
         command=args.command,
         output=args.output,
         format=args.format,
-        threads=max(1, args.threads),
+        threads=args.threads,
         timestamp=not args.no_timestamp,
         tolerance=args.tolerance,
         lo=getattr(args, "lo", 1),

@@ -1,25 +1,33 @@
 """Verifiers for the square/truncation identity family.
 
 Each identity relates truncated Mobius sums M_x(s) and harmonic sums
-H_x(s) through floor-quotient rearrangements.  The catalogue, in the
-tool's own numbering (eq1..eq18, gaps where a variant is folded into
-its parent as an order-swap cross-check):
+H_x(s) through floor-quotient rearrangements.  The family comes in
+mirror pairs: a statement about the Dirichlet pair (a, b) = (1, mu) is
+also true with 1 and mu swapped.  With A the prefix sum of a and B the
+prefix sum of b,
 
-    eq1   sum_{i<=x} i^-s M_{floor(x/i)}(s) = 1
-    eq2   eq1 at x' = floor(x^2/j), j in [x, x^2], via nested floors
-    eq3   sum_{j=x+1..x^2} j^-s sum_{i<=x} i^-s M_{floor(x^2/ij)}(s)
-              = H_{x^2}(s) - H_x(s)      (both summation orders agree)
-    eq5   H_{x^2}(s) = 2 H_x(s) - sum_{i,j<=x} (ij)^-s M_{floor(x^2/ij)}(s)
-    eq6   eq5 at s = 0:  x^2 = 2x - sum_{i,j<=x} floor-count convolution
-    eq7   eq5 at s = 1
-    eq11  sum_{i<=x} mu(i) i^-s H_{floor(x/i)}(s) = 1
-    eq12  eq11 at x' = floor(x^2/j), j in [x, x^2]
-    eq13  sum_{j=x+1..x^2} mu(j) j^-s sum_{i<=x} mu(i) i^-s H_{floor(x^2/ij)}(s)
-              = M_{x^2}(s) - M_x(s)      (both summation orders agree)
-    eq15  M_{x^2}(s) = 2 M_x(s) - sum_{i,j<=x} mu(i)mu(j)(ij)^-s H_{floor(x^2/ij)}(s)
-    eq16  eq15 at s = 1
-    eq17  eq15 at s = 0:  M_{x^2} = 2 M_x - sum mu(i)mu(j) floor(x^2/ij)
+    pair (1, mu):  a = 1,   A = H_k(s),  B = M_k(s)
+    pair (mu, 1):  a = mu,  A = M_k(s),  B = H_k(s)
+
+and three shapes, each written once and run for either pair:
+
+    closure  sum_{i<=x} a(i) i^-s B_{floor(n/i)}(s) = 1
+                 n = x:                         eq1 (1, mu), eq11 (mu, 1)
+                 n = floor(x^2/j), x<=j<=x^2:   eq2 (1, mu), eq12 (mu, 1)
+    tail     sum_{j=x+1..x^2} sum_{i<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s)
+                 = A_{x^2}(s) - A_x(s)          eq3 (1, mu), eq13 (mu, 1)
+             (the head form over j <= x and a regrouped float sum are
+             checked alongside)
+    square   A_{x^2}(s) = 2 A_x(s) - sum_{i,j<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s)
+                 eq5 (1, mu), with eq6 at s = 0 and eq7 at s = 1;
+                 eq15 (mu, 1), with eq17 at s = 0 and eq16 at s = 1
+
+plus one standalone identity,
+
     eq18  M_{x^2} = 2 M_x - x^2 m_x^2 + sum mu(i)mu(j) frac(x^2/ij)
+
+CATALOGUE holds, per identity, its shape, pair, pinned exponent and
+mode bounds; the CLI reads the catalogue order and metadata from it.
 
 Exact modes (s = 0 integers, s = 1 scaled rationals) certify residuals
 are identically zero; float mode reports a residual against a tolerance.
@@ -32,10 +40,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import fsum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import mobius_sieve, quotient_blocks
 from .config import (
     DEFAULT_TOLERANCE,
     RATIONAL_BOUND,
@@ -45,14 +53,15 @@ from .config import (
     check_capacity,
 )
 from .exact import ScaledSums
-from .sequences import RationalBoundError, ExactModeError, SequenceCache
+from .sequences import ExactModeError, RationalBoundError, SequenceCache, _mu_upto
 
 __all__ = [
+    "CATALOGUE",
+    "CatalogueEntry",
     "ConvolutionCoefficients",
     "Identity",
     "IdentityCase",
     "Residual",
-    "WINDOW_EXACT",
     "convolution_coeffs",
     "verify_case",
     "verify_eq1",
@@ -87,14 +96,6 @@ class Identity(Enum):
     EQ18 = "eq18"
 
 
-_NEEDS_J = {Identity.EQ2, Identity.EQ12}
-# Identities whose exact s = 1 path reads SequenceCache.exact_sums().
-WINDOW_EXACT = frozenset({Identity.EQ1, Identity.EQ2, Identity.EQ11,
-                          Identity.EQ12, Identity.EQ18})
-_FIXED_S = {Identity.EQ6: 0.0, Identity.EQ7: 1.0, Identity.EQ16: 1.0,
-            Identity.EQ17: 0.0, Identity.EQ18: 1.0}
-
-
 @dataclass(frozen=True)
 class IdentityCase:
     """One concrete check: an identity at a point, in a chosen mode."""
@@ -110,7 +111,8 @@ class IdentityCase:
             raise ValueError(f"x must be >= 1, got {self.x}")
         if self.mode not in ("exact", "float", "auto"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if self.identity in _NEEDS_J:
+        entry = CATALOGUE[self.identity]
+        if entry.needs_j:
             if self.j is None:
                 raise ValueError(f"{self.identity.value} requires j")
             if not self.x <= self.j <= self.x * self.x:
@@ -119,10 +121,9 @@ class IdentityCase:
                     f"got {self.j}")
         elif self.j is not None:
             raise ValueError(f"{self.identity.value} takes no j")
-        fixed = _FIXED_S.get(self.identity)
-        if fixed is not None and float(self.s) != fixed:
+        if entry.s is not None and float(self.s) != entry.s:
             raise ValueError(
-                f"{self.identity.value} is pinned at s = {fixed}, got {self.s}")
+                f"{self.identity.value} is pinned at s = {entry.s}, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -187,20 +188,13 @@ def convolution_coeffs(x: int, kind: str = "plain",
         for i in range(1, x + 1):
             c[i:i * x + 1:i] += 1
     else:
-        mu = _mu_to(x, cache)
+        mu = _mu_upto(x, cache)
         row = mu[1:].astype(np.int64)
         for i in range(1, x + 1):
             mi = int(mu[i])
             if mi:
                 c[i:i * x + 1:i] += mi * row
     return ConvolutionCoefficients(x=x, kind=kind, coeffs=c)
-
-
-def _mu_to(n: int, cache: SequenceCache | None) -> np.ndarray:
-    """Mobius values indexed 1..n with a zero pad at 0."""
-    if cache is not None and cache.limit >= n:
-        return cache.mu[:n + 1]
-    return np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
 
 
 def _window_sums(x: int, cache: SequenceCache | None,
@@ -219,27 +213,6 @@ def _ensure_cache(cache: SequenceCache | None, need: int) -> SequenceCache:
     return SequenceCache(need)
 
 
-def _resolve_mode(mode: str, s: float, x: int, exact_bound: int,
-                  s0_bound: int | None = None) -> str:
-    """Pick exact when s permits and x is within the per-identity bound."""
-    if mode not in ("exact", "float", "auto"):
-        raise ValueError(f"mode must be 'exact', 'float' or 'auto', got {mode!r}")
-    if mode == "auto":
-        if s == 0 and x <= (s0_bound if s0_bound is not None else exact_bound):
-            return "exact"
-        if s == 1 and x <= exact_bound:
-            return "exact"
-        return "float"
-    if mode == "exact":
-        if s not in (0, 1):
-            raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
-        bound = (s0_bound if (s == 0 and s0_bound is not None) else exact_bound)
-        if x > bound:
-            raise RationalBoundError(
-                f"exact mode at s = {s} limited to x <= {bound}, got x = {x}")
-    return mode
-
-
 def _exact(value, lhs, rhs) -> Residual:
     return Residual(kind="exact", lhs=lhs, rhs=rhs, exact_value=value)
 
@@ -254,87 +227,87 @@ def _fsum(arr) -> float:
     return fsum(arr.tolist())
 
 
-# --- eq1 / eq2: closure of the quotient recursion -----------------------
+# --- the Dirichlet pairs ----------------------------------------------------
 
-def verify_eq1(x: int, s: float = 1.0, mode: str = "auto",
-               cache: SequenceCache | None = None,
-               tolerance: float | None = None) -> Residual:
-    """sum_{i<=x} i^-s M_{floor(x/i)}(s) = 1."""
-    mode = _resolve_mode(mode, s, x, RATIONAL_BOUND, s0_bound=10 ** 9)
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, x)
-        total = sum((i_hi - i_lo + 1) * int(cache.mertens[q])
-                    for q, i_lo, i_hi in quotient_blocks(x))
-        return _exact(total - 1, total, 1)
-    if mode == "exact":
-        ss = _window_sums(x, cache, _mu_to(x, cache))
-        L = ss.denominator
-        num = sum(ss.weights[i] * ss.oscillatory_num[x // i]
-                  for i in range(1, x + 1))
-        lhs = Fraction(num, L * L)
+class _Pair(NamedTuple):
+    """A Dirichlet pair (a, A, B): a is 1 or mu, A the prefix sum of a, B
+    the prefix sum of its Dirichlet inverse.  Each accessor returns (A, B)
+    in one form: (H, M) for a = 1, (M, H) for a = mu."""
+
+    mobius: bool
+
+    def _ab(self, h, m):
+        return (m, h) if self.mobius else (h, m)
+
+    def floats(self, cache: SequenceCache, s: float):
+        """Float prefix tables at s."""
+        return self._ab(cache.harmonic_float(s), cache.oscillatory_float(s))
+
+    def counts(self, cache: SequenceCache):
+        """Integer prefixes at s = 0 as functions of k, where H_k(0) = k."""
+        return self._ab(lambda k: k, cache.mertens.__getitem__)
+
+    def scaled(self, ss: ScaledSums):
+        """ScaledSums numerators at s = 1."""
+        return self._ab(ss.harmonic_num, ss.oscillatory_num)
+
+    def values(self, mu: np.ndarray) -> np.ndarray:
+        """a(k) over the indices of `mu`."""
+        return mu if self.mobius else np.ones_like(mu)
+
+    @property
+    def kind(self) -> str:
+        """convolution_coeffs kind of a(i)a(j) summed over ij = p."""
+        return "mobius" if self.mobius else "plain"
+
+
+_ONE_MU = _Pair(False)
+_MU_ONE = _Pair(True)
+
+
+# --- the three shapes -------------------------------------------------------
+
+def _closure(pair: _Pair, x: int, s: float, mode: str,
+             cache: SequenceCache | None, tolerance: float | None,
+             j: int | None = None) -> Residual:
+    """sum_{i<=x} a(i) i^-s B_{floor(n/i)}(s) = 1, n = x or floor(x^2/j).
+
+    floor(x^2/ij) = floor(floor(x^2/j)/i), so the nested form is the
+    closure restated at n = floor(x^2/j) <= x.
+    """
+    n = x if j is None else x * x // j
+    if mode == "exact" and s == 1:
+        mu = _mu_upto(x, cache)
+        ss = _window_sums(x, cache, mu)
+        a, (_, b), w = pair.values(mu).tolist(), pair.scaled(ss), ss.weights
+        num = sum(a[i] * w[i] * b[n // i] for i in range(1, x + 1) if a[i])
+        lhs = Fraction(num, ss.denominator ** 2)
         return _exact(lhs - 1, lhs, 1)
     cache = _ensure_cache(cache, x)
-    osc = cache.oscillatory_float(s)
     i = np.arange(1, x + 1, dtype=np.int64)
-    terms = i.astype(np.float64) ** (-float(s)) * osc[x // i]
-    lhs = _fsum(terms)
+    a = pair.values(cache.mu[1:x + 1])
+    if mode == "exact":
+        _, b = pair.counts(cache)
+        total = int(np.dot(a.astype(np.int64), b(n // i)))
+        return _exact(total - 1, total, 1)
+    _, b = pair.floats(cache, s)
+    lhs = _fsum(a * i.astype(np.float64) ** (-float(s)) * b[n // i])
     return _float(lhs - 1.0, lhs, 1.0, tolerance)
 
 
-def verify_eq2(x: int, j: int, s: float = 1.0, mode: str = "auto",
-               cache: SequenceCache | None = None,
-               tolerance: float | None = None) -> Residual:
-    """sum_{i<=x} i^-s M_{floor(x^2/ij)}(s) = 1 for x <= j <= x^2.
+def _tail_float(x: int, s: float, table: np.ndarray,
+                a: np.ndarray) -> tuple[float, float]:
+    """Tail sum over j in (x, x^2], i <= x, weighted a(i)a(j)(ij)^-s;
+    returns (flat, i-grouped).
 
-    Quotient arguments floor(x^2/ij) = floor(floor(x^2/j)/i) stay <= x,
-    so this is the closure restated at the nested point floor(x^2/j).
-    """
-    if not x <= j <= x * x:
-        raise ValueError(f"j must lie in [x, x^2] = [{x}, {x * x}], got {j}")
-    mode = _resolve_mode(mode, s, x, RATIONAL_BOUND, s0_bound=10 ** 9)
-    xx = x * x
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, x)
-        total = sum(int(cache.mertens[xx // (j * i)]) for i in range(1, x + 1))
-        return _exact(total - 1, total, 1)
-    if mode == "exact":
-        ss = _window_sums(x, cache, _mu_to(x, cache))
-        L = ss.denominator
-        num = sum(ss.weights[i] * ss.oscillatory_num[xx // (j * i)]
-                  for i in range(1, x + 1))
-        lhs = Fraction(num, L * L)
-        return _exact(lhs - 1, lhs, 1)
-    cache = _ensure_cache(cache, x)
-    osc = cache.oscillatory_float(s)
-    i = np.arange(1, x + 1, dtype=np.int64)
-    terms = i.astype(np.float64) ** (-float(s)) * osc[xx // (j * i)]
-    lhs = _fsum(terms)
-    return _float(lhs - 1.0, lhs, 1.0, tolerance)
-
-
-# --- eq3 / eq13: tail double sums -----------------------------------------
-
-def _triple_terms_float(x: int, s: float, table: np.ndarray,
-                        weight_mu: np.ndarray | None) -> tuple[float, float]:
-    """Tail sum over j in (x, x^2], i <= x; returns (flat, i-grouped).
-
-    weight_mu None gives unit outer/inner weights; otherwise mu weights
-    apply to both indices.  The flat value is the canonical one (fsum is
-    exactly rounded), the regrouped value guards the evaluation code.
+    The flat value is the canonical one (fsum is exactly rounded), the
+    regrouped value guards the evaluation code.
     """
     xx = x * x
     i = np.arange(1, x + 1, dtype=np.int64)
-    wi = i.astype(np.float64) ** (-float(s))
-    if weight_mu is not None:
-        wi = wi * weight_mu[1:x + 1]
-    chunks = []
-    for j in range(x + 1, xx + 1):
-        if weight_mu is not None and not weight_mu[j]:
-            continue
-        wj = float(j) ** (-float(s))
-        if weight_mu is not None:
-            wj *= float(weight_mu[j])
-        chunks.append(wj * wi * table[xx // (j * i)])
+    wi = i.astype(np.float64) ** (-float(s)) * a[1:x + 1]
+    chunks = [float(j) ** (-float(s)) * float(a[j]) * wi * table[xx // (j * i)]
+              for j in range(x + 1, xx + 1) if a[j]]
     if not chunks:
         return 0.0, 0.0
     flat = np.concatenate(chunks)
@@ -342,102 +315,51 @@ def _triple_terms_float(x: int, s: float, table: np.ndarray,
     return _fsum(flat), grouped
 
 
-def verify_eq3(x: int, s: float = 1.0, mode: str = "auto",
-               cache: SequenceCache | None = None,
-               tolerance: float | None = None) -> Residual:
-    """Tail sum of i^-s j^-s M_{floor(x^2/ij)}(s) equals H_{x^2} - H_x.
+def _tail(pair: _Pair, x: int, s: float, mode: str,
+          cache: SequenceCache | None, tolerance: float | None) -> Residual:
+    """sum_{j>x, i<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s) = A_{x^2}(s) - A_x(s).
 
-    Also checks the complementary form (tail = H_x - head double sum
+    Also checks the complementary form (tail = A_x - head double sum
     over i, j <= x) and, in float mode, that regrouping the summation
     order moves the value by at most the tolerance.
     """
-    mode = _resolve_mode(mode, s, x, TRIPLE_LOOP_EXACT_BOUND,
-                         s0_bound=TRIPLE_LOOP_FLOAT_BOUND)
-    if x > TRIPLE_LOOP_FLOAT_BOUND:
-        raise ValueError(
-            f"tail double sum capped at x <= {TRIPLE_LOOP_FLOAT_BOUND}, got {x}")
     xx = x * x
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, xx)
-        mer = cache.mertens
-        i = np.arange(1, x + 1, dtype=np.int64)
-        lhs = sum(int(mer[xx // (j * i)].sum()) for j in range(x + 1, xx + 1))
-        head = sum(int(mer[xx // (j * i)].sum()) for j in range(1, x + 1))
-        rhs = xx - x
-        main = lhs - rhs
-        return _exact(main if main else lhs - (x - head), lhs, rhs)
-    if mode == "exact":
-        mu = _mu_to(xx, cache)
+    if mode == "exact" and s == 1:
+        mu = _mu_upto(xx, cache)
         ss = ScaledSums(xx, mu=mu, lcm_limit=x ** 3)
         L = ss.denominator
-        a = ss.oscillatory_num
-        lhs_num = sum(ss.weight(j * i) * a[xx // (j * i)]
-                      for j in range(x + 1, xx + 1) for i in range(1, x + 1))
-        head_num = sum(ss.weight(j * i) * a[xx // (j * i)]
-                       for j in range(1, x + 1) for i in range(1, x + 1))
-        rhs_num = L * (ss.harmonic_num[xx] - ss.harmonic_num[x])
-        alt_num = L * ss.harmonic_num[x] - head_num
+        a, (big_a, b) = pair.values(mu).tolist(), pair.scaled(ss)
+
+        def double_num(js):
+            return sum(a[j] * a[i] * ss.weight(j * i) * b[xx // (j * i)]
+                       for j in js if a[j] for i in range(1, x + 1) if a[i])
+
+        lhs_num = double_num(range(x + 1, xx + 1))
+        head_num = double_num(range(1, x + 1))
+        rhs_num = L * (big_a[xx] - big_a[x])
+        alt_num = L * big_a[x] - head_num
         main = lhs_num - rhs_num
         val = Fraction(main if main else lhs_num - alt_num, L * L)
         return _exact(val, Fraction(lhs_num, L * L), Fraction(rhs_num, L * L))
     cache = _ensure_cache(cache, xx)
-    osc = cache.oscillatory_float(s)
-    har = cache.harmonic_float(s)
-    lhs, regrouped = _triple_terms_float(x, s, osc, None)
-    rhs = har[xx] - har[x]
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    resid = lhs - rhs
-    if abs(resid) <= tol and abs(lhs - regrouped) > tol:
-        resid = lhs - regrouped
-    return _float(resid, lhs, rhs, tolerance)
-
-
-def verify_eq13(x: int, s: float = 1.0, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """Tail sum of mu(i)mu(j)(ij)^-s H_{floor(x^2/ij)}(s) equals
-    M_{x^2}(s) - M_x(s); complementary head form checked alongside."""
-    mode = _resolve_mode(mode, s, x, TRIPLE_LOOP_EXACT_BOUND,
-                         s0_bound=TRIPLE_LOOP_FLOAT_BOUND)
-    if x > TRIPLE_LOOP_FLOAT_BOUND:
-        raise ValueError(
-            f"tail double sum capped at x <= {TRIPLE_LOOP_FLOAT_BOUND}, got {x}")
-    xx = x * x
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, xx)
-        mu = cache.mu
-        mu_i = mu[1:x + 1].astype(np.int64)
+    a = pair.values(cache.mu[:xx + 1])
+    if mode == "exact":
+        a_i = a[1:x + 1].astype(np.int64)
         i = np.arange(1, x + 1, dtype=np.int64)
-        lhs = sum(int(mu[j]) * int(np.dot(mu_i, xx // (j * i)))
-                  for j in range(x + 1, xx + 1) if mu[j])
-        head = sum(int(mu[j]) * int(np.dot(mu_i, xx // (j * i)))
-                   for j in range(1, x + 1) if mu[j])
-        rhs = int(cache.mertens[xx]) - int(cache.mertens[x])
+        big_a, b = pair.counts(cache)
+
+        def double(js):
+            return sum(int(a[j]) * int(np.dot(a_i, b(xx // (j * i))))
+                       for j in js if a[j])
+
+        lhs = double(range(x + 1, xx + 1))
+        rhs = int(big_a(xx)) - int(big_a(x))
         main = lhs - rhs
-        alt = int(cache.mertens[x]) - head
+        alt = int(big_a(x)) - double(range(1, x + 1))
         return _exact(main if main else lhs - alt, lhs, rhs)
-    if mode == "exact":
-        mu = _mu_to(xx, cache)
-        ss = ScaledSums(xx, mu=mu, lcm_limit=x ** 3)
-        L = ss.denominator
-        h = ss.harmonic_num
-        lhs_num = sum(int(mu[j]) * int(mu[i]) * ss.weight(j * i) * h[xx // (j * i)]
-                      for j in range(x + 1, xx + 1) if mu[j]
-                      for i in range(1, x + 1) if mu[i])
-        head_num = sum(int(mu[j]) * int(mu[i]) * ss.weight(j * i) * h[xx // (j * i)]
-                       for j in range(1, x + 1) if mu[j]
-                       for i in range(1, x + 1) if mu[i])
-        rhs_num = L * (ss.oscillatory_num[xx] - ss.oscillatory_num[x])
-        alt_num = L * ss.oscillatory_num[x] - head_num
-        main = lhs_num - rhs_num
-        val = Fraction(main if main else lhs_num - alt_num, L * L)
-        return _exact(val, Fraction(lhs_num, L * L), Fraction(rhs_num, L * L))
-    cache = _ensure_cache(cache, xx)
-    har = cache.harmonic_float(s)
-    osc = cache.oscillatory_float(s)
-    mu_f = cache.mu[:xx + 1].astype(np.float64)
-    lhs, regrouped = _triple_terms_float(x, s, har, mu_f)
-    rhs = osc[xx] - osc[x]
+    big_a, b = pair.floats(cache, s)
+    lhs, regrouped = _tail_float(x, s, b, a.astype(np.float64))
+    rhs = big_a[xx] - big_a[x]
     tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     resid = lhs - rhs
     if abs(resid) <= tol and abs(lhs - regrouped) > tol:
@@ -445,158 +367,45 @@ def verify_eq13(x: int, s: float = 1.0, mode: str = "auto",
     return _float(resid, lhs, rhs, tolerance)
 
 
-# --- eq5/eq6/eq7 and eq15/eq16/eq17: square identities ---------------------
-
-def verify_eq5(x: int, s: float = 1.0, mode: str = "auto",
-               cache: SequenceCache | None = None,
-               tolerance: float | None = None) -> Residual:
-    """H_{x^2}(s) = 2 H_x(s) - sum_{i,j<=x} (ij)^-s M_{floor(x^2/ij)}(s)."""
-    mode = _resolve_mode(mode, s, x, RATIONAL_SQUARE_BOUND, s0_bound=10 ** 5)
+def _square(pair: _Pair, x: int, s: float, mode: str,
+            cache: SequenceCache | None, tolerance: float | None) -> Residual:
+    """A_{x^2}(s) = 2 A_x(s) - sum_p c_p p^-s B_{floor(x^2/p)}(s), where c_p
+    sums a(i)a(j) over the products ij = p with i, j <= x."""
     xx = x * x
-    cc = convolution_coeffs(x, "plain", cache)
-    ps, cs = cc.nonzero()
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, xx)
-        inner = int(np.dot(cs, cache.mertens[xx // ps]))
-        return _exact(xx - (2 * x - inner), xx, 2 * x - inner)
-    if mode == "exact":
-        ss = ScaledSums(xx, mu=_mu_to(xx, cache))
+    ps, cs = convolution_coeffs(x, pair.kind, cache).nonzero()
+    if mode == "exact" and s == 1:
+        ss = ScaledSums(xx, mu=_mu_upto(xx, cache))
         L = ss.denominator
-        a = ss.oscillatory_num
-        inner = sum(int(c) * ss.weight(int(p)) * a[xx // int(p)]
+        big_a, b = pair.scaled(ss)
+        inner = sum(int(c) * ss.weight(int(p)) * b[xx // int(p)]
                     for p, c in zip(ps, cs))
-        lhs = Fraction(ss.harmonic_num[xx], L)
-        rhs = Fraction(2 * L * ss.harmonic_num[x] - inner, L * L)
+        lhs = Fraction(big_a[xx], L)
+        rhs = Fraction(2 * L * big_a[x] - inner, L * L)
         return _exact(lhs - rhs, lhs, rhs)
     cache = _ensure_cache(cache, xx)
-    har = cache.harmonic_float(s)
-    osc = cache.oscillatory_float(s)
-    inner = _fsum(cs * ps.astype(np.float64) ** (-float(s)) * osc[xx // ps])
-    lhs = float(har[xx])
-    rhs = 2.0 * har[x] - inner
+    if mode == "exact":
+        big_a, b = pair.counts(cache)
+        inner = int(np.dot(cs, b(xx // ps)))
+        lhs, rhs = int(big_a(xx)), 2 * int(big_a(x)) - inner
+        return _exact(lhs - rhs, lhs, rhs)
+    big_a, b = pair.floats(cache, s)
+    inner = _fsum(cs * ps.astype(np.float64) ** (-float(s)) * b[xx // ps])
+    lhs = float(big_a[xx])
+    rhs = 2.0 * big_a[x] - inner
     return _float(lhs - rhs, lhs, rhs, tolerance)
 
 
-def verify_eq6(x: int, cache: SequenceCache | None = None) -> Residual:
-    """Counting form of eq5: x^2 = 2x - sum_{i,j<=x} M(floor(x^2/ij))."""
-    return verify_eq5(x, s=0.0, mode="exact", cache=cache)
-
-
-def verify_eq7(x: int, mode: str = "auto",
-               cache: SequenceCache | None = None,
-               tolerance: float | None = None) -> Residual:
-    """eq5 at s = 1, the harmonic/oscillatory square identity."""
-    return verify_eq5(x, s=1.0, mode=mode, cache=cache, tolerance=tolerance)
-
-
-def verify_eq11(x: int, s: float = 1.0, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """sum_{i<=x} mu(i) i^-s H_{floor(x/i)}(s) = 1, the mirror closure."""
-    mode = _resolve_mode(mode, s, x, RATIONAL_BOUND, s0_bound=10 ** 9)
-    mu = _mu_to(x, cache)
-    if mode == "exact" and s == 0:
-        i = np.arange(1, x + 1, dtype=np.int64)
-        total = int(np.dot(mu[1:].astype(np.int64), x // i))
-        return _exact(total - 1, total, 1)
-    if mode == "exact":
-        ss = _window_sums(x, cache, mu)
-        L = ss.denominator
-        num = sum(int(mu[i]) * ss.weights[i] * ss.harmonic_num[x // i]
-                  for i in range(1, x + 1) if mu[i])
-        lhs = Fraction(num, L * L)
-        return _exact(lhs - 1, lhs, 1)
-    cache = _ensure_cache(cache, x)
-    har = cache.harmonic_float(s)
-    i = np.arange(1, x + 1, dtype=np.int64)
-    terms = mu[1:] * i.astype(np.float64) ** (-float(s)) * har[x // i]
-    lhs = _fsum(terms)
-    return _float(lhs - 1.0, lhs, 1.0, tolerance)
-
-
-def verify_eq12(x: int, j: int, s: float = 1.0, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """Mirror closure at the nested point floor(x^2/j), x <= j <= x^2."""
-    if not x <= j <= x * x:
-        raise ValueError(f"j must lie in [x, x^2] = [{x}, {x * x}], got {j}")
-    mode = _resolve_mode(mode, s, x, RATIONAL_BOUND, s0_bound=10 ** 9)
-    xx = x * x
-    mu = _mu_to(x, cache)
-    if mode == "exact" and s == 0:
-        total = sum(int(mu[i]) * (xx // (j * i)) for i in range(1, x + 1))
-        return _exact(total - 1, total, 1)
-    if mode == "exact":
-        ss = _window_sums(x, cache, mu)
-        L = ss.denominator
-        num = sum(int(mu[i]) * ss.weights[i] * ss.harmonic_num[xx // (j * i)]
-                  for i in range(1, x + 1) if mu[i])
-        lhs = Fraction(num, L * L)
-        return _exact(lhs - 1, lhs, 1)
-    cache = _ensure_cache(cache, x)
-    har = cache.harmonic_float(s)
-    i = np.arange(1, x + 1, dtype=np.int64)
-    terms = mu[1:] * i.astype(np.float64) ** (-float(s)) * har[xx // (j * i)]
-    lhs = _fsum(terms)
-    return _float(lhs - 1.0, lhs, 1.0, tolerance)
-
-
-def verify_eq15(x: int, s: float = 1.0, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """M_{x^2}(s) = 2 M_x(s) - sum_{i,j<=x} mu(i)mu(j)(ij)^-s H_{floor(x^2/ij)}(s)."""
-    mode = _resolve_mode(mode, s, x, RATIONAL_SQUARE_BOUND, s0_bound=10 ** 5)
-    xx = x * x
-    cc = convolution_coeffs(x, "mobius", cache)
-    ps, cs = cc.nonzero()
-    if mode == "exact" and s == 0:
-        cache = _ensure_cache(cache, xx)
-        inner = int(np.dot(cs, xx // ps))
-        lhs = int(cache.mertens[xx])
-        rhs = 2 * int(cache.mertens[x]) - inner
-        return _exact(lhs - rhs, lhs, rhs)
-    if mode == "exact":
-        ss = ScaledSums(xx, mu=_mu_to(xx, cache))
-        L = ss.denominator
-        h = ss.harmonic_num
-        inner = sum(int(c) * ss.weight(int(p)) * h[xx // int(p)]
-                    for p, c in zip(ps, cs))
-        lhs = Fraction(ss.oscillatory_num[xx], L)
-        rhs = Fraction(2 * L * ss.oscillatory_num[x] - inner, L * L)
-        return _exact(lhs - rhs, lhs, rhs)
-    cache = _ensure_cache(cache, xx)
-    har = cache.harmonic_float(s)
-    osc = cache.oscillatory_float(s)
-    inner = _fsum(cs * ps.astype(np.float64) ** (-float(s)) * har[xx // ps])
-    lhs = float(osc[xx])
-    rhs = 2.0 * osc[x] - inner
-    return _float(lhs - rhs, lhs, rhs, tolerance)
-
-
-def verify_eq16(x: int, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """eq15 at s = 1."""
-    return verify_eq15(x, s=1.0, mode=mode, cache=cache, tolerance=tolerance)
-
-
-def verify_eq17(x: int, cache: SequenceCache | None = None) -> Residual:
-    """Integer form of eq15: M_{x^2} = 2 M_x - sum mu(i)mu(j) floor(x^2/ij)."""
-    return verify_eq15(x, s=0.0, mode="exact", cache=cache)
-
-
-def verify_eq18(x: int, mode: str = "auto",
-                cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
-    """M_{x^2} = 2 M_x - x^2 m_x^2 + sum_{i,j<=x} mu(i)mu(j) frac(x^2/ij).
-
-    The floor/fraction split x^2/ij = floor + frac ties this to eq17:
-    sum mu mu floor(x^2/ij) + sum mu mu frac(x^2/ij) = x^2 m_x^2, and the
-    exact path certifies that bridge together with the identity itself.
-    Exact mode accumulates floor and remainder from one divmod per pair,
-    then cross-checks the floor total against the grouped eq17 route.
+def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
+                   cache: SequenceCache | None,
+                   tolerance: float | None) -> Residual:
+    """eq18.  The floor/fraction split x^2/ij = floor + frac ties it to
+    eq17: sum mu mu floor(x^2/ij) + sum mu mu frac(x^2/ij) = x^2 m_x^2,
+    and the exact path certifies that bridge together with the identity
+    itself.  Exact mode accumulates floor and remainder from one divmod
+    per pair, then cross-checks the floor total against the grouped eq17
+    route.  eq18 exists only for (mu, 1) at s = 1, so it reads mu, M and
+    m_x directly and takes `pair` and `s` for the common signature.
     """
-    mode = _resolve_mode(mode, 1.0, x, RATIONAL_BOUND)
     xx = x * x
     cache = _ensure_cache(cache, xx)
     mu = cache.mu
@@ -623,7 +432,7 @@ def verify_eq18(x: int, mode: str = "auto",
         val = Fraction(resid_num, L * L)
         if val == 0 and bridge != 0:
             val = Fraction(bridge, L * L)
-        grouped = verify_eq17(x, cache)
+        grouped = _square(_MU_ONE, x, 0.0, "exact", cache, None)  # eq17
         if val == 0 and (2 * m_x - floor_sum) != grouped.rhs:
             val = Fraction((2 * m_x - floor_sum) - grouped.rhs)
         return _exact(val, lhs, rhs)
@@ -640,24 +449,168 @@ def verify_eq18(x: int, mode: str = "auto",
     return _float(lhs - rhs, float(lhs), rhs, tolerance)
 
 
-_DISPATCH = {
-    Identity.EQ1: lambda c, cache, tol: verify_eq1(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ2: lambda c, cache, tol: verify_eq2(c.x, c.j, c.s, c.mode, cache, tol),
-    Identity.EQ3: lambda c, cache, tol: verify_eq3(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ5: lambda c, cache, tol: verify_eq5(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ6: lambda c, cache, tol: verify_eq6(c.x, cache),
-    Identity.EQ7: lambda c, cache, tol: verify_eq7(c.x, c.mode, cache, tol),
-    Identity.EQ11: lambda c, cache, tol: verify_eq11(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ12: lambda c, cache, tol: verify_eq12(c.x, c.j, c.s, c.mode, cache, tol),
-    Identity.EQ13: lambda c, cache, tol: verify_eq13(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ15: lambda c, cache, tol: verify_eq15(c.x, c.s, c.mode, cache, tol),
-    Identity.EQ16: lambda c, cache, tol: verify_eq16(c.x, c.mode, cache, tol),
-    Identity.EQ17: lambda c, cache, tol: verify_eq17(c.x, cache),
-    Identity.EQ18: lambda c, cache, tol: verify_eq18(c.x, c.mode, cache, tol),
+# --- the catalogue ----------------------------------------------------------
+
+class CatalogueEntry(NamedTuple):
+    """How one identity is checked."""
+
+    verify: Callable[..., Residual]  # (pair, x, s, mode, cache, tolerance[, j])
+    pair: _Pair
+    exact_bound: int                 # largest x run exact at s = 1
+    s0_bound: int                    # largest x run exact at s = 0
+    reach: int                       # its tables index up to x ** reach
+    shared_exact: bool = False       # exact s = 1 reads cache.exact_sums()
+    x_cap: int | None = None         # largest x accepted in any mode
+    s: float | None = None           # pinned exponent (None: the caller's)
+    needs_j: bool = False            # takes the nested point j in [x, x^2]
+
+
+_CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, s0_bound=10 ** 9,
+                reach=1, shared_exact=True)
+_TAIL = dict(verify=_tail, exact_bound=TRIPLE_LOOP_EXACT_BOUND,
+             s0_bound=TRIPLE_LOOP_FLOAT_BOUND, reach=2,
+             x_cap=TRIPLE_LOOP_FLOAT_BOUND)
+_SQUARE = dict(verify=_square, exact_bound=RATIONAL_SQUARE_BOUND,
+               s0_bound=10 ** 5, reach=2)
+
+# In catalogue order, which is the order of Identity.
+CATALOGUE = {
+    Identity.EQ1: CatalogueEntry(pair=_ONE_MU, **_CLOSURE),
+    Identity.EQ2: CatalogueEntry(pair=_ONE_MU, needs_j=True, **_CLOSURE),
+    Identity.EQ3: CatalogueEntry(pair=_ONE_MU, **_TAIL),
+    Identity.EQ5: CatalogueEntry(pair=_ONE_MU, **_SQUARE),
+    Identity.EQ6: CatalogueEntry(pair=_ONE_MU, s=0.0, **_SQUARE),
+    Identity.EQ7: CatalogueEntry(pair=_ONE_MU, s=1.0, **_SQUARE),
+    Identity.EQ11: CatalogueEntry(pair=_MU_ONE, **_CLOSURE),
+    Identity.EQ12: CatalogueEntry(pair=_MU_ONE, needs_j=True, **_CLOSURE),
+    Identity.EQ13: CatalogueEntry(pair=_MU_ONE, **_TAIL),
+    Identity.EQ15: CatalogueEntry(pair=_MU_ONE, **_SQUARE),
+    Identity.EQ16: CatalogueEntry(pair=_MU_ONE, s=1.0, **_SQUARE),
+    Identity.EQ17: CatalogueEntry(pair=_MU_ONE, s=0.0, **_SQUARE),
+    Identity.EQ18: CatalogueEntry(
+        verify=_fraction_form, pair=_MU_ONE, exact_bound=RATIONAL_BOUND,
+        s0_bound=RATIONAL_BOUND, reach=2, shared_exact=True, s=1.0),
 }
 
 
 def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
                 tolerance: float | None = None) -> Residual:
-    """Dispatch one IdentityCase to its verifier."""
-    return _DISPATCH[case.identity](case, cache, tolerance)
+    """Run one IdentityCase through its catalogue entry.
+
+    Identities pinned at s = 0 are integer counting forms and always run
+    exact.  Otherwise "auto" runs exact when s is 0 or 1 and x is within
+    the entry's bound for that s, and "exact" outside those is an error.
+    """
+    entry = CATALOGUE[case.identity]
+    x, s, mode = case.x, case.s, case.mode
+    if entry.s is not None:
+        s = entry.s
+        mode = "exact" if s == 0 else mode
+    bound = entry.s0_bound if s == 0 else entry.exact_bound
+    if mode == "auto":
+        mode = "exact" if s in (0, 1) and x <= bound else "float"
+    elif mode == "exact" and s not in (0, 1):
+        raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
+    elif mode == "exact" and x > bound:
+        raise RationalBoundError(
+            f"exact mode at s = {s} limited to x <= {bound}, got x = {x}")
+    if entry.x_cap is not None and x > entry.x_cap:
+        raise ValueError(f"{case.identity.value} is capped at x <= "
+                         f"{entry.x_cap} in every mode, got {x}")
+    args = (entry.pair, x, s, mode, cache, tolerance)
+    return entry.verify(*args, case.j) if entry.needs_j else entry.verify(*args)
+
+
+# --- public verifiers, one per identity -------------------------------------
+
+def _run(identity: Identity, x: int, j: int | None, s: float, mode: str,
+         cache: SequenceCache | None, tolerance: float | None) -> Residual:
+    return verify_case(IdentityCase(identity, x, j, s, mode), cache, tolerance)
+
+
+def verify_eq1(x: int, s: float = 1.0, mode: str = "auto",
+               cache: SequenceCache | None = None,
+               tolerance: float | None = None) -> Residual:
+    """sum_{i<=x} i^-s M_{floor(x/i)}(s) = 1."""
+    return _run(Identity.EQ1, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq2(x: int, j: int, s: float = 1.0, mode: str = "auto",
+               cache: SequenceCache | None = None,
+               tolerance: float | None = None) -> Residual:
+    """sum_{i<=x} i^-s M_{floor(x^2/ij)}(s) = 1 for x <= j <= x^2."""
+    return _run(Identity.EQ2, x, j, s, mode, cache, tolerance)
+
+
+def verify_eq3(x: int, s: float = 1.0, mode: str = "auto",
+               cache: SequenceCache | None = None,
+               tolerance: float | None = None) -> Residual:
+    """Tail sum of i^-s j^-s M_{floor(x^2/ij)}(s) equals H_{x^2} - H_x."""
+    return _run(Identity.EQ3, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq5(x: int, s: float = 1.0, mode: str = "auto",
+               cache: SequenceCache | None = None,
+               tolerance: float | None = None) -> Residual:
+    """H_{x^2}(s) = 2 H_x(s) - sum_{i,j<=x} (ij)^-s M_{floor(x^2/ij)}(s)."""
+    return _run(Identity.EQ5, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq6(x: int, cache: SequenceCache | None = None) -> Residual:
+    """Counting form of eq5: x^2 = 2x - sum_{i,j<=x} M(floor(x^2/ij))."""
+    return _run(Identity.EQ6, x, None, 0.0, "exact", cache, None)
+
+
+def verify_eq7(x: int, mode: str = "auto",
+               cache: SequenceCache | None = None,
+               tolerance: float | None = None) -> Residual:
+    """eq5 at s = 1, the harmonic/oscillatory square identity."""
+    return _run(Identity.EQ7, x, None, 1.0, mode, cache, tolerance)
+
+
+def verify_eq11(x: int, s: float = 1.0, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """sum_{i<=x} mu(i) i^-s H_{floor(x/i)}(s) = 1, the mirror closure."""
+    return _run(Identity.EQ11, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq12(x: int, j: int, s: float = 1.0, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """Mirror closure at the nested point floor(x^2/j), x <= j <= x^2."""
+    return _run(Identity.EQ12, x, j, s, mode, cache, tolerance)
+
+
+def verify_eq13(x: int, s: float = 1.0, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """Tail sum of mu(i)mu(j)(ij)^-s H_{floor(x^2/ij)}(s) equals
+    M_{x^2}(s) - M_x(s); complementary head form checked alongside."""
+    return _run(Identity.EQ13, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq15(x: int, s: float = 1.0, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """M_{x^2}(s) = 2 M_x(s) - sum_{i,j<=x} mu(i)mu(j)(ij)^-s H_{floor(x^2/ij)}(s)."""
+    return _run(Identity.EQ15, x, None, s, mode, cache, tolerance)
+
+
+def verify_eq16(x: int, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """eq15 at s = 1."""
+    return _run(Identity.EQ16, x, None, 1.0, mode, cache, tolerance)
+
+
+def verify_eq17(x: int, cache: SequenceCache | None = None) -> Residual:
+    """Integer form of eq15: M_{x^2} = 2 M_x - sum mu(i)mu(j) floor(x^2/ij)."""
+    return _run(Identity.EQ17, x, None, 0.0, "exact", cache, None)
+
+
+def verify_eq18(x: int, mode: str = "auto",
+                cache: SequenceCache | None = None,
+                tolerance: float | None = None) -> Residual:
+    """M_{x^2} = 2 M_x - x^2 m_x^2 + sum_{i,j<=x} mu(i)mu(j) frac(x^2/ij)."""
+    return _run(Identity.EQ18, x, None, 1.0, mode, cache, tolerance)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import MobiusTable, mobius_sieve
 from .config import RATIONAL_BOUND, check_capacity
-from .exact import ScaledSums, lcm_upto
+from .exact import ScaledSums
 
 # Euler-Mascheroni constant, 50 published decimal digits; the float
 # keeps the correctly rounded 17 significant digits.
@@ -107,7 +107,6 @@ class SequenceCache:
         ))
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
-        self.sublinear_memo: dict[int, int] = {}
 
     def mobius_table(self) -> MobiusTable:
         return MobiusTable(lo=1, values=self.mu[1:])
@@ -173,6 +172,8 @@ def mertens_value(x: int, cache: SequenceCache) -> int:
 
 # Grow-only base table for the sublinear evaluator, shared across calls
 # so repeated queries reuse both the sieve and the memoized recursion.
+# A memo entry is the true M(v) for a v above the base table that made
+# it, so it serves any base table, a caller's SequenceCache included.
 _SUBLINEAR_TABLE: dict[str, object] = {"limit": 0, "mertens": None}
 _SUBLINEAR_MEMO: dict[int, int] = {}
 
@@ -191,12 +192,11 @@ def _sublinear_base(limit: int) -> np.ndarray:
     return _SUBLINEAR_TABLE["mertens"]
 
 
-def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
-                     memo: dict[int, int]) -> int:
+def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int) -> int:
     """M(v) = 1 - sum_{i=2..v} M(v//i), grouped over quotient blocks."""
     if v <= tab_limit:
         return int(tab[v])
-    hit = memo.get(v)
+    hit = _SUBLINEAR_MEMO.get(v)
     if hit is not None:
         return hit
     d = isqrt(v)
@@ -206,7 +206,7 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
     args = v // np.arange(2, d + 1, dtype=np.int64)
     big = args > tab_limit
     if big.any():
-        total += sum(_mertens_recurse(int(a), tab, tab_limit, memo)
+        total += sum(_mertens_recurse(int(a), tab, tab_limit)
                      for a in args[big])
         args = args[~big]
     total += int(tab[args].sum())
@@ -218,7 +218,7 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
         counts = v // qs - np.maximum(v // (qs + 1), d)
         total += int(np.dot(counts, tab[qs]))
     result = 1 - total
-    memo[v] = result
+    _SUBLINEAR_MEMO[v] = result
     return result
 
 
@@ -233,13 +233,13 @@ def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     base_limit = max(1024, int(round(x ** (2.0 / 3.0))))
     if cache is not None and cache.limit >= min(x, base_limit):
-        tab, tab_limit, memo = cache.mertens, cache.limit, cache.sublinear_memo
+        tab, tab_limit = cache.mertens, cache.limit
     else:
         tab = _sublinear_base(min(x, base_limit))
-        tab_limit, memo = _SUBLINEAR_TABLE["limit"], _SUBLINEAR_MEMO
+        tab_limit = _SUBLINEAR_TABLE["limit"]
     if x <= tab_limit:
         return int(tab[x])
-    return _mertens_recurse(x, tab, tab_limit, memo)
+    return _mertens_recurse(x, tab, tab_limit)
 
 
 @dataclass(frozen=True)
@@ -252,10 +252,11 @@ class OscillatoryValue:
     value: int | Fraction | float
 
 
-def _mu_values(x: int, cache: SequenceCache | None) -> np.ndarray:
-    if cache is not None and cache.limit >= x:
-        return cache.mu[1:x + 1]
-    return mobius_sieve(x).values
+def _mu_upto(n: int, cache: SequenceCache | None) -> np.ndarray:
+    """Mobius values indexed 1..n with a zero pad at 0."""
+    if cache is not None and cache.limit >= n:
+        return cache.mu[:n + 1]
+    return np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
 
 
 def oscillatory(x: int, s: float, mode: str = "float",
@@ -279,14 +280,12 @@ def oscillatory(x: int, s: float, mode: str = "float",
                     f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
             if cache is not None and cache.limit >= x:
                 return OscillatoryValue(x, 1.0, "exact", cache.oscillatory_exact(x))
-            mu = mobius_sieve(x).values
-            L = lcm_upto(x)
-            num = sum(int(mu[k - 1]) * (L // k) for k in range(1, x + 1))
-            return OscillatoryValue(x, 1.0, "exact", Fraction(num, L))
+            sums = ScaledSums(x, mu=_mu_upto(x, None))
+            return OscillatoryValue(x, 1.0, "exact", sums.oscillatory(x))
         raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
     if mode != "float":
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    mu = _mu_values(x, cache)
+    mu = _mu_upto(x, cache)[1:]
     ks = np.arange(1, x + 1, dtype=np.float64)
     terms = mu * ks ** (-float(s))
     return OscillatoryValue(x, float(s), "float", fsum(terms.tolist()))
@@ -303,8 +302,7 @@ def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:
             if x > RATIONAL_BOUND:
                 raise RationalBoundError(
                     f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
-            L = lcm_upto(x)
-            return Fraction(sum(L // k for k in range(1, x + 1)), L)
+            return ScaledSums(x).harmonic(x)
         raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
     if mode != "float":
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")

@@ -77,6 +77,15 @@ def test_sublinear_reuses_supplied_cache(cache_small):
     assert mertens_sublinear(5, cache_small) == -2
 
 
+def test_memo_entries_serve_either_sublinear_base_table(cache_square):
+    # 10^6 entries cover the base table at 10^9, so the first call recurses
+    # on the cache's table; its memo entries are true M(v) for the module's
+    # own table too.
+    assert mertens_sublinear(10 ** 9, cache_square) == -222
+    assert mertens_sublinear(10 ** 9) == -222
+    assert mertens_sublinear(10 ** 9 + 1, cache_square) == -223  # mu = -1
+
+
 def test_oscillatory_exact_oracles(cache_small):
     assert oscillatory(3, 1, "exact").value == Fraction(1, 6)
     # m_4 = 1 - 1/2 - 1/3 = 1/6 as well (mu(4) = 0).
@@ -219,9 +228,13 @@ def test_window_identities_share_one_exact_table(monkeypatch):
             assert verify(x, mode="exact", cache=cache).passed
         for verify in (verify_eq2, verify_eq12):
             assert verify(x, x + 1, mode="exact", cache=cache).passed
-    assert cache.oscillatory_exact(200) == oscillatory(200, 1, "exact").value
-    assert cache.harmonic_exact(150) == harmonic(150, 1, "exact")
+    m_200, h_150 = cache.oscillatory_exact(200), cache.harmonic_exact(150)
     assert len(built) == 1
+    # Without a cache, oscillatory() and harmonic() build their own table.
+    assert m_200 == oscillatory(200, 1, "exact").value == sum(
+        Fraction(int(cache.mu[k]), k) for k in range(1, 201))
+    assert h_150 == harmonic(150, 1, "exact") == sum(
+        Fraction(1, k) for k in range(1, 151))
 
 
 def test_cache_exact_prefixes(cache_small):
