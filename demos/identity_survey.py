@@ -22,7 +22,8 @@ for ident, entry in CATALOGUE.items():
         j = (x + x * x) // 2 if entry.needs_j else None
         case = IdentityCase(ident, x=x, j=j, s=s, mode="exact")
         res = verify_case(case, cache)
-        # exact rationals over lcm(1..x^3) get very wide; show a float view
+        # exact rationals (denominators up to lcm(1..x^2)) get very wide;
+        # show a float view
         lhs = str(res.lhs)
         if len(lhs) > 12:
             lhs = f"~{float(res.lhs):.7f}"

@@ -10,20 +10,18 @@ Commands:
     bench      timing probes for the heavy evaluators
 
 Reports are byte-stable: row order is fixed by the input grid, floats
-are printed with %.17g (round-trip), and --threads only distributes
-work over an order-preserving map.  --no-timestamp drops the one
-run-dependent line.  Exit status: 0 all checks passed, 1 at least one
-check failed, 2 usage or capacity error.
+are printed with %.17g (round-trip), and every command runs in the
+calling thread, so output and work are the same for any --threads.
+--no-timestamp drops the one run-dependent line.  Exit status: 0 all
+checks passed, 1 at least one check failed, 2 usage or capacity error.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -144,20 +142,6 @@ def _emit(config: RunConfig, columns, rows, summary: dict) -> None:
             fh.write(text)
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply fn preserving input order; threads only add concurrency.
-
-    The pool never has more workers than items or cores: pool.map submits
-    every item at once, and each submission that finds no idle worker
-    starts a thread up to the pool's limit.
-    """
-    workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- verify ---------------------------------------------------------------
 
 def _verify_cases(config: RunConfig) -> tuple[list[IdentityCase], int]:
@@ -195,14 +179,6 @@ def _run_verify(config: RunConfig) -> int:
         raise ValueError(f"no cases to run: {_TAIL_CAP}")
     need = max(c.x ** CATALOGUE[c.identity].reach for c in cases)
     cache = SequenceCache(need)
-    # Warm every lazily built table before fanning out, so worker
-    # threads only read shared state.
-    for s in sorted({c.s for c in cases}):
-        cache.harmonic_float(s)
-        cache.oscillatory_float(s)
-    if any(CATALOGUE[c.identity].shared_exact and c.s == 1
-           and c.mode != "float" for c in cases):
-        cache.exact_sums()
 
     def one(case: IdentityCase) -> dict:
         res = verify_case(case, cache=cache, tolerance=config.tolerance)
@@ -210,7 +186,7 @@ def _run_verify(config: RunConfig) -> int:
                 "s": case.s, "mode": res.kind, "lhs": res.lhs, "rhs": res.rhs,
                 "residual": res.value, "pass": res.passed}
 
-    rows = _map_ordered(one, cases, config.threads)
+    rows = [one(case) for case in cases]
     failures = [r for r in rows if not r["pass"]]
     summary = {"cases": len(rows), "failures": len(failures),
                "tolerance": config.tolerance,
@@ -340,7 +316,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output path, '-' for stdout (default)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="accepted for compatibility, at least 1; output and "
+                        "work are the same for any value")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generated-at line for byte-stable output")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)

@@ -37,47 +37,31 @@ def lcm_upto(n: int) -> int:
 class ScaledSums:
     """Integer numerators for harmonic/oscillatory prefix sums over L.
 
-    L = lcm(1..lcm_limit) with lcm_limit >= n, so L//d is exact for any
-    divisor argument d <= lcm_limit (not just d <= n).  With w_k = L//k:
+    L = lcm(1..n), so every 1/k with k <= n is the integer w_k = L//k:
 
+        weights[k]         = w_k
         harmonic_num[k]    = sum_{i<=k} w_i            -> H_k     = ./L
         oscillatory_num[k] = sum_{i<=k} mu_i * w_i     -> m-value = ./L
 
-    All entries are plain Python ints (they exceed 64 bits quickly).
+    Each is a numpy object array of plain Python ints (they exceed 64
+    bits quickly), indexable by k or by an integer array of k.
     """
 
-    def __init__(self, n: int, mu: np.ndarray | None = None,
-                 lcm_limit: int | None = None):
+    def __init__(self, n: int, mu: np.ndarray | None = None):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
-        self.lcm_limit = max(n, lcm_limit or n)
-        self.denominator = lcm_upto(self.lcm_limit)
-        L = self.denominator
-        self.weights = [0] + [L // k for k in range(1, n + 1)]
-        acc = 0
-        self.harmonic_num = [0]
-        for k in range(1, n + 1):
-            acc += self.weights[k]
-            self.harmonic_num.append(acc)
+        self.denominator = L = lcm_upto(n)
+        self.weights = np.empty(n + 1, dtype=object)
+        self.weights[0] = 0
+        self.weights[1:] = [L // k for k in range(1, n + 1)]
+        self.harmonic_num = np.cumsum(self.weights)
         self.oscillatory_num = None
         if mu is not None:
             if len(mu) < n + 1:
                 raise ValueError("mu must cover indices 0..n")
-            acc = 0
-            nums = [0]
-            for k in range(1, n + 1):
-                m = int(mu[k])
-                if m:
-                    acc += m * self.weights[k]
-                nums.append(acc)
-            self.oscillatory_num = nums
-
-    def weight(self, d: int) -> int:
-        """L//d, exact whenever d <= lcm_limit (d always divides L then)."""
-        if not 1 <= d <= self.lcm_limit:
-            raise ValueError(f"divisor {d} outside [1, {self.lcm_limit}]")
-        return self.denominator // d
+            self.oscillatory_num = np.cumsum(
+                np.asarray(mu[:n + 1], dtype=object) * self.weights)
 
     def harmonic(self, k: int) -> Fraction:
         return Fraction(self.harmonic_num[k], self.denominator)

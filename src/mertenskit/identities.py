@@ -9,16 +9,17 @@ prefix sum of b,
     pair (1, mu):  a = 1,   A = H_k(s),  B = M_k(s)
     pair (mu, 1):  a = mu,  A = M_k(s),  B = H_k(s)
 
-and three shapes, each written once and run for either pair:
+and three shapes, each written once and run for either pair, with the
+weight w(k) = k^-s:
 
-    closure  sum_{i<=x} a(i) i^-s B_{floor(n/i)}(s) = 1
+    closure  sum_{i<=x} a(i) w(i) B_{floor(n/i)} = 1
                  n = x:                         eq1 (1, mu), eq11 (mu, 1)
                  n = floor(x^2/j), x<=j<=x^2:   eq2 (1, mu), eq12 (mu, 1)
-    tail     sum_{j=x+1..x^2} sum_{i<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s)
-                 = A_{x^2}(s) - A_x(s)          eq3 (1, mu), eq13 (mu, 1)
-             (the head form over j <= x and a regrouped float sum are
+    tail     sum_{j=x+1..x^2} sum_{i<=x} a(i)a(j) w(ij) B_{floor(x^2/ij)}
+                 = A_{x^2} - A_x                eq3 (1, mu), eq13 (mu, 1)
+             (the head form over j <= x and the sum grouped by i are
              checked alongside)
-    square   A_{x^2}(s) = 2 A_x(s) - sum_{i,j<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s)
+    square   A_{x^2} = 2 A_x - sum_{i,j<=x} a(i)a(j) w(ij) B_{floor(x^2/ij)}
                  eq5 (1, mu), with eq6 at s = 0 and eq7 at s = 1;
                  eq15 (mu, 1), with eq17 at s = 0 and eq16 at s = 1
 
@@ -26,14 +27,26 @@ plus one standalone identity,
 
     eq18  M_{x^2} = 2 M_x - x^2 m_x^2 + sum mu(i)mu(j) frac(x^2/ij)
 
+Each shape is one sum, evaluated in one of three arithmetics that
+supply the weight, the tables A and B, the total and the reading of
+the result:
+
+    float          w(k) = k^-s in float64, the float prefix tables at s,
+                   math.fsum (exactly rounded); a float residual is
+                   judged against a tolerance
+    exact, s = 0   w(k) = 1, H_k(0) = k and the integer Mertens table,
+                   integer sums
+    exact, s = 1   w(k) = L//k over L = lcm(1..n) (or a multiple), the
+                   ScaledSums numerators over L, integer sums; a total
+                   of terms with p scaled factors is read back as a
+                   Fraction over L^p
+
+An exact residual is identically zero or the check fails.  The square
+shape groups its double sum through convolution coefficients c_p,
+shrinking x^2 terms to the number of products realized below x^2.
+
 CATALOGUE holds, per identity, its shape, pair, pinned exponent and
 mode bounds; the CLI reads the catalogue order and metadata from it.
-
-Exact modes (s = 0 integers, s = 1 scaled rationals) certify residuals
-are identically zero; float mode reports a residual against a tolerance.
-Double sums over i, j <= x with summand depending only on p = ij are
-grouped through convolution coefficients c_p, shrinking x^2 terms to
-the number of products realized below x^2.
 """
 
 from dataclasses import dataclass
@@ -197,16 +210,6 @@ def convolution_coeffs(x: int, kind: str = "plain",
     return ConvolutionCoefficients(x=x, kind=kind, coeffs=c)
 
 
-def _window_sums(x: int, cache: SequenceCache | None,
-                 mu: np.ndarray) -> ScaledSums:
-    """Exact prefixes to x: the cache's shared table when it reaches x,
-    else a table of its own over `mu`.  A larger common denominator
-    changes no value, since every result is a normalised Fraction."""
-    if cache is not None and cache.limit >= x:
-        return cache.exact_sums()
-    return ScaledSums(x, mu=mu)
-
-
 def _ensure_cache(cache: SequenceCache | None, need: int) -> SequenceCache:
     if cache is not None and cache.limit >= need:
         return cache
@@ -223,33 +226,17 @@ def _float(value, lhs, rhs, tolerance) -> Residual:
                     tolerance=tol)
 
 
-def _fsum(arr) -> float:
-    return fsum(arr.tolist())
-
-
 # --- the Dirichlet pairs ----------------------------------------------------
 
 class _Pair(NamedTuple):
     """A Dirichlet pair (a, A, B): a is 1 or mu, A the prefix sum of a, B
-    the prefix sum of its Dirichlet inverse.  Each accessor returns (A, B)
-    in one form: (H, M) for a = 1, (M, H) for a = mu."""
+    the prefix sum of its Dirichlet inverse."""
 
     mobius: bool
 
-    def _ab(self, h, m):
+    def ab(self, h, m):
+        """(A, B) from the harmonic and oscillatory forms of one table."""
         return (m, h) if self.mobius else (h, m)
-
-    def floats(self, cache: SequenceCache, s: float):
-        """Float prefix tables at s."""
-        return self._ab(cache.harmonic_float(s), cache.oscillatory_float(s))
-
-    def counts(self, cache: SequenceCache):
-        """Integer prefixes at s = 0 as functions of k, where H_k(0) = k."""
-        return self._ab(lambda k: k, cache.mertens.__getitem__)
-
-    def scaled(self, ss: ScaledSums):
-        """ScaledSums numerators at s = 1."""
-        return self._ab(ss.harmonic_num, ss.oscillatory_num)
 
     def values(self, mu: np.ndarray) -> np.ndarray:
         """a(k) over the indices of `mu`."""
@@ -265,134 +252,143 @@ _ONE_MU = _Pair(False)
 _MU_ONE = _Pair(True)
 
 
+# --- the three arithmetics --------------------------------------------------
+
+class _Count:
+    """H_k(0) = k as a table: _Count()[k] is k, for an int or an int array."""
+
+    def __getitem__(self, k):
+        return k
+
+
+class _Arith(NamedTuple):
+    """One arithmetic for the sums of a Dirichlet pair with tables to n.
+
+    A term of a sum is a(.) or c_p times weights w(k) and table entries.
+    In the scaled arithmetic each weight and table entry is a numerator
+    over L, so a total of terms with p such factors is over L^p, and
+    value(total, p) reads it back; the other two ignore p.
+    """
+
+    a: np.ndarray        # a(k), k = 0..n
+    A: object            # prefix sums of a, indexed by k or an int array
+    B: object            # prefix sums of the Dirichlet inverse of a
+    weight: Callable     # w(k) = k^-s for an int k or an int array
+    total: Callable      # the sum of an iterable of terms
+    value: Callable      # (total, p) -> float, int or Fraction
+    one: int | float     # the closure's right-hand side
+    kind: str            # Residual kind: "exact" or "float"
+
+    def residual(self, value, lhs, rhs, tolerance) -> Residual:
+        if self.kind == "exact":
+            return _exact(value, lhs, rhs)
+        return _float(value, lhs, rhs, tolerance)
+
+
+def _arith(pair: _Pair, n: int, s: float, mode: str,
+           cache: SequenceCache | None) -> _Arith:
+    """The arithmetic of `mode` ("exact" or "float") at s for tables to
+    n, as the module docstring lists them.  Exact at s = 1 reads the
+    cache's shared ScaledSums when n is within its reach, else a table
+    over lcm(1..n); a larger denominator changes no value, since every
+    result is a normalised Fraction."""
+    cache = _ensure_cache(cache, n)
+    a = pair.values(cache.mu[:n + 1])
+    if mode == "float":
+        e = -float(s)
+
+        def power(k):
+            # An array goes through numpy's pow, a single k through
+            # Python's; the two can differ in the last bit, and the
+            # reports pin both.
+            if isinstance(k, np.ndarray):
+                return k.astype(np.float64) ** e
+            return float(k) ** e
+
+        A, B = pair.ab(cache.harmonic_float(s), cache.oscillatory_float(s))
+        return _Arith(a, A, B, power, fsum, lambda v, p: float(v), 1.0,
+                      "float")
+    if s == 0:
+        A, B = pair.ab(_Count(), cache.mertens)
+        return _Arith(a, A, B, lambda k: 1, sum, lambda v, p: int(v), 1,
+                      "exact")
+    ss = (cache.exact_sums() if n <= RATIONAL_BOUND
+          else ScaledSums(n, mu=cache.mu))
+    L = ss.denominator
+    A, B = pair.ab(ss.harmonic_num, ss.oscillatory_num)
+    return _Arith(a, A, B, ss.weights.__getitem__, sum,
+                  lambda v, p: Fraction(v, L ** p), 1, "exact")
+
+
 # --- the three shapes -------------------------------------------------------
 
 def _closure(pair: _Pair, x: int, s: float, mode: str,
              cache: SequenceCache | None, tolerance: float | None,
              j: int | None = None) -> Residual:
-    """sum_{i<=x} a(i) i^-s B_{floor(n/i)}(s) = 1, n = x or floor(x^2/j).
+    """sum_{i<=x} a(i) w(i) B_{floor(n/i)} = 1, n = x or floor(x^2/j).
 
     floor(x^2/ij) = floor(floor(x^2/j)/i), so the nested form is the
     closure restated at n = floor(x^2/j) <= x.
     """
     n = x if j is None else x * x // j
-    if mode == "exact" and s == 1:
-        mu = _mu_upto(x, cache)
-        ss = _window_sums(x, cache, mu)
-        a, (_, b), w = pair.values(mu).tolist(), pair.scaled(ss), ss.weights
-        num = sum(a[i] * w[i] * b[n // i] for i in range(1, x + 1) if a[i])
-        lhs = Fraction(num, ss.denominator ** 2)
-        return _exact(lhs - 1, lhs, 1)
-    cache = _ensure_cache(cache, x)
+    ar = _arith(pair, x, s, mode, cache)
     i = np.arange(1, x + 1, dtype=np.int64)
-    a = pair.values(cache.mu[1:x + 1])
-    if mode == "exact":
-        _, b = pair.counts(cache)
-        total = int(np.dot(a.astype(np.int64), b(n // i)))
-        return _exact(total - 1, total, 1)
-    _, b = pair.floats(cache, s)
-    lhs = _fsum(a * i.astype(np.float64) ** (-float(s)) * b[n // i])
-    return _float(lhs - 1.0, lhs, 1.0, tolerance)
-
-
-def _tail_float(x: int, s: float, table: np.ndarray,
-                a: np.ndarray) -> tuple[float, float]:
-    """Tail sum over j in (x, x^2], i <= x, weighted a(i)a(j)(ij)^-s;
-    returns (flat, i-grouped).
-
-    The flat value is the canonical one (fsum is exactly rounded), the
-    regrouped value guards the evaluation code.
-    """
-    xx = x * x
-    i = np.arange(1, x + 1, dtype=np.int64)
-    wi = i.astype(np.float64) ** (-float(s)) * a[1:x + 1]
-    chunks = [float(j) ** (-float(s)) * float(a[j]) * wi * table[xx // (j * i)]
-              for j in range(x + 1, xx + 1) if a[j]]
-    if not chunks:
-        return 0.0, 0.0
-    flat = np.concatenate(chunks)
-    grouped = fsum(fsum(col.tolist()) for col in np.stack(chunks).T)
-    return _fsum(flat), grouped
+    terms = ar.a[1:x + 1] * ar.weight(i) * ar.B[n // i]
+    lhs = ar.value(ar.total(terms.tolist()), 2)
+    return ar.residual(lhs - ar.one, lhs, ar.one, tolerance)
 
 
 def _tail(pair: _Pair, x: int, s: float, mode: str,
           cache: SequenceCache | None, tolerance: float | None) -> Residual:
-    """sum_{j>x, i<=x} a(i)a(j)(ij)^-s B_{floor(x^2/ij)}(s) = A_{x^2}(s) - A_x(s).
+    """sum_{j>x, i<=x} (w(j)a(j))(w(i)a(i)) B_{floor(x^2/ij)} = A_{x^2} - A_x.
 
-    Also checks the complementary form (tail = A_x - head double sum
-    over i, j <= x) and, in float mode, that regrouping the summation
-    order moves the value by at most the tolerance.
+    Also checks the complementary head form (the tail equals A_x minus
+    the same double sum over i, j <= x) and the tail summed column by
+    column over i; a form that disagrees while the main check passes is
+    reported instead.
     """
     xx = x * x
-    if mode == "exact" and s == 1:
-        mu = _mu_upto(xx, cache)
-        ss = ScaledSums(xx, mu=mu, lcm_limit=x ** 3)
-        L = ss.denominator
-        a, (big_a, b) = pair.values(mu).tolist(), pair.scaled(ss)
+    ar = _arith(pair, xx, s, mode, cache)
+    a, i = ar.a, np.arange(1, x + 1, dtype=np.int64)
+    wa_i = ar.weight(i) * a[1:x + 1]
 
-        def double_num(js):
-            return sum(a[j] * a[i] * ss.weight(j * i) * b[xx // (j * i)]
-                       for j in js if a[j] for i in range(1, x + 1) if a[i])
+    def terms(js):
+        """A row of terms per j in js with a(j) != 0, one column per i."""
+        js = np.array([j for j in js if a[j]], dtype=np.int64)
+        wa_j = np.array([ar.weight(j) * int(a[j]) for j in js.tolist()],
+                        dtype=wa_i.dtype)
+        return (np.multiply.outer(wa_j, wa_i)
+                * ar.B[xx // np.multiply.outer(js, i)])
 
-        lhs_num = double_num(range(x + 1, xx + 1))
-        head_num = double_num(range(1, x + 1))
-        rhs_num = L * (big_a[xx] - big_a[x])
-        alt_num = L * big_a[x] - head_num
-        main = lhs_num - rhs_num
-        val = Fraction(main if main else lhs_num - alt_num, L * L)
-        return _exact(val, Fraction(lhs_num, L * L), Fraction(rhs_num, L * L))
-    cache = _ensure_cache(cache, xx)
-    a = pair.values(cache.mu[:xx + 1])
-    if mode == "exact":
-        a_i = a[1:x + 1].astype(np.int64)
-        i = np.arange(1, x + 1, dtype=np.int64)
-        big_a, b = pair.counts(cache)
+    def total(values):
+        return ar.value(ar.total(values), 3)
 
-        def double(js):
-            return sum(int(a[j]) * int(np.dot(a_i, b(xx // (j * i))))
-                       for j in js if a[j])
-
-        lhs = double(range(x + 1, xx + 1))
-        rhs = int(big_a(xx)) - int(big_a(x))
-        main = lhs - rhs
-        alt = int(big_a(x)) - double(range(1, x + 1))
-        return _exact(main if main else lhs - alt, lhs, rhs)
-    big_a, b = pair.floats(cache, s)
-    lhs, regrouped = _tail_float(x, s, b, a.astype(np.float64))
-    rhs = big_a[xx] - big_a[x]
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    resid = lhs - rhs
-    if abs(resid) <= tol and abs(lhs - regrouped) > tol:
-        resid = lhs - regrouped
-    return _float(resid, lhs, rhs, tolerance)
+    tail = terms(range(x + 1, xx + 1))
+    lhs = total(tail.ravel().tolist())
+    rhs = ar.value(ar.A[xx] - ar.A[x], 1)
+    head_form = (ar.value(ar.A[x], 1)
+                 - total(terms(range(1, x + 1)).ravel().tolist()))
+    grouped = total(ar.total(col) for col in tail.T.tolist())
+    res = ar.residual(lhs - rhs, lhs, rhs, tolerance)
+    for other in (head_form, grouped):
+        check = ar.residual(lhs - other, lhs, rhs, tolerance)
+        if res.passed and not check.passed:
+            res = check
+    return res
 
 
 def _square(pair: _Pair, x: int, s: float, mode: str,
             cache: SequenceCache | None, tolerance: float | None) -> Residual:
-    """A_{x^2}(s) = 2 A_x(s) - sum_p c_p p^-s B_{floor(x^2/p)}(s), where c_p
-    sums a(i)a(j) over the products ij = p with i, j <= x."""
+    """A_{x^2} = 2 A_x - sum_p c_p w(p) B_{floor(x^2/p)}, where c_p sums
+    a(i)a(j) over the products ij = p with i, j <= x."""
     xx = x * x
     ps, cs = convolution_coeffs(x, pair.kind, cache).nonzero()
-    if mode == "exact" and s == 1:
-        ss = ScaledSums(xx, mu=_mu_upto(xx, cache))
-        L = ss.denominator
-        big_a, b = pair.scaled(ss)
-        inner = sum(int(c) * ss.weight(int(p)) * b[xx // int(p)]
-                    for p, c in zip(ps, cs))
-        lhs = Fraction(big_a[xx], L)
-        rhs = Fraction(2 * L * big_a[x] - inner, L * L)
-        return _exact(lhs - rhs, lhs, rhs)
-    cache = _ensure_cache(cache, xx)
-    if mode == "exact":
-        big_a, b = pair.counts(cache)
-        inner = int(np.dot(cs, b(xx // ps)))
-        lhs, rhs = int(big_a(xx)), 2 * int(big_a(x)) - inner
-        return _exact(lhs - rhs, lhs, rhs)
-    big_a, b = pair.floats(cache, s)
-    inner = _fsum(cs * ps.astype(np.float64) ** (-float(s)) * b[xx // ps])
-    lhs = float(big_a[xx])
-    rhs = 2.0 * big_a[x] - inner
-    return _float(lhs - rhs, lhs, rhs, tolerance)
+    ar = _arith(pair, xx, s, mode, cache)
+    terms = cs * ar.weight(ps) * ar.B[xx // ps]
+    inner = ar.value(ar.total(terms.tolist()), 2)
+    lhs = ar.value(ar.A[xx], 1)
+    rhs = 2 * ar.value(ar.A[x], 1) - inner
+    return ar.residual(lhs - rhs, lhs, rhs, tolerance)
 
 
 def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
@@ -413,18 +409,18 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
     m_x = int(cache.mertens[x])
     sqfree = [i for i in range(1, x + 1) if mu[i]]
     if mode == "exact":
-        ss = _window_sums(x, cache, mu)
-        L = ss.denominator
+        ss = cache.exact_sums()
+        L, weights = ss.denominator, ss.weights.tolist()
         a_num = ss.oscillatory_num[x]
         floor_sum = 0
         frac_num = 0
         for i in sqfree:
-            mi, wi = int(mu[i]), ss.weights[i]
+            mi, wi = int(mu[i]), weights[i]
             for j in sqfree:
                 q, r = divmod(xx, i * j)
                 w = mi * int(mu[j])
                 floor_sum += w * q
-                frac_num += w * r * wi * ss.weights[j]
+                frac_num += w * r * wi * weights[j]
         # Bridge: floor and fractional parts recombine to x^2 m_x^2.
         bridge = xx * a_num * a_num - frac_num - L * L * floor_sum
         resid_num = (lhs - 2 * m_x) * L * L + xx * a_num * a_num - frac_num
@@ -444,7 +440,7 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
         rems = xx - (xx // prods) * prods
         w = float(mu[i]) * mu[js].astype(np.float64)
         chunks.append(w * rems / prods)
-    frac_sum = _fsum(np.concatenate(chunks))
+    frac_sum = fsum(np.concatenate(chunks).tolist())
     rhs = 2.0 * m_x - xx * m_f * m_f + frac_sum
     return _float(lhs - rhs, float(lhs), rhs, tolerance)
 
@@ -459,14 +455,13 @@ class CatalogueEntry(NamedTuple):
     exact_bound: int                 # largest x run exact at s = 1
     s0_bound: int                    # largest x run exact at s = 0
     reach: int                       # its tables index up to x ** reach
-    shared_exact: bool = False       # exact s = 1 reads cache.exact_sums()
     x_cap: int | None = None         # largest x accepted in any mode
     s: float | None = None           # pinned exponent (None: the caller's)
     needs_j: bool = False            # takes the nested point j in [x, x^2]
 
 
 _CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, s0_bound=10 ** 9,
-                reach=1, shared_exact=True)
+                reach=1)
 _TAIL = dict(verify=_tail, exact_bound=TRIPLE_LOOP_EXACT_BOUND,
              s0_bound=TRIPLE_LOOP_FLOAT_BOUND, reach=2,
              x_cap=TRIPLE_LOOP_FLOAT_BOUND)
@@ -489,7 +484,7 @@ CATALOGUE = {
     Identity.EQ17: CatalogueEntry(pair=_MU_ONE, s=0.0, **_SQUARE),
     Identity.EQ18: CatalogueEntry(
         verify=_fraction_form, pair=_MU_ONE, exact_bound=RATIONAL_BOUND,
-        s0_bound=RATIONAL_BOUND, reach=2, shared_exact=True, s=1.0),
+        s0_bound=RATIONAL_BOUND, reach=2, s=1.0),
 }
 
 

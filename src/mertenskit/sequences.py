@@ -88,10 +88,10 @@ class SequenceCache:
 
     Eager: mu (int8) and the integer Mertens prefix.  Everything else
     (float prefix tables per exponent, the one exact ScaledSums table)
-    is built on first use and kept; callers that share a cache across
-    threads build these first, so that the threads only read.  Arrays
-    have length limit+1 with slot 0 a zero pad, so table[k] is the value
-    at k with no offset bookkeeping.
+    is built on first use and kept.  A cache is single-threaded: the
+    lazy tables are built without a lock.  Arrays have length limit+1
+    with slot 0 a zero pad, so table[k] is the value at k with no
+    offset bookkeeping.
     """
 
     def __init__(self, limit: int):
@@ -145,22 +145,6 @@ class SequenceCache:
             self._exact_sums = ScaledSums(min(self.limit, RATIONAL_BOUND),
                                           mu=self.mu)
         return self._exact_sums
-
-    def _check_exact(self, x: int, what: str) -> None:
-        bound = min(self.limit, RATIONAL_BOUND)
-        if x > bound:
-            raise RationalBoundError(
-                f"exact {what} limited to x <= {bound}, got {x}")
-
-    def oscillatory_exact(self, x: int) -> Fraction:
-        """m_x = M_x(1) as an exact Fraction; x capped by the rational bound."""
-        self._check_exact(x, "m_x")
-        return self.exact_sums().oscillatory(x)
-
-    def harmonic_exact(self, x: int) -> Fraction:
-        """H_x = H_x(1) as an exact Fraction; x capped by the rational bound."""
-        self._check_exact(x, "H_x")
-        return self.exact_sums().harmonic(x)
 
 
 def mertens_value(x: int, cache: SequenceCache) -> int:
@@ -279,7 +263,8 @@ def oscillatory(x: int, s: float, mode: str = "float",
                 raise RationalBoundError(
                     f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
             if cache is not None and cache.limit >= x:
-                return OscillatoryValue(x, 1.0, "exact", cache.oscillatory_exact(x))
+                return OscillatoryValue(x, 1.0, "exact",
+                                        cache.exact_sums().oscillatory(x))
             sums = ScaledSums(x, mu=_mu_upto(x, None))
             return OscillatoryValue(x, 1.0, "exact", sums.oscillatory(x))
         raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")

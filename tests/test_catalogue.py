@@ -7,6 +7,7 @@ defining sums, with no prefix tables, grouping or quotient tricks.
 
 import hashlib
 import json
+from fractions import Fraction
 from math import fsum
 
 import pytest
@@ -40,8 +41,41 @@ PAIRS = {
 }
 
 
-def prefix(c, k, s):
-    return fsum(c[m] * m ** -s for m in range(1, k + 1))
+# (s, mode): float at two exponents, integers at s = 0, rationals at s = 1.
+ARITHMETICS = pytest.mark.parametrize("s, mode", [
+    pytest.param(0.5, "float", id="0.5"),
+    pytest.param(2.0, "float", id="2.0"),
+    pytest.param(0, "exact", id="exact-s0"),
+    pytest.param(1, "exact", id="exact-s1"),
+])
+RESULT_TYPE = {"float": float, 0: int, 1: Fraction}
+
+
+def weight(m, s, mode):
+    if mode == "float":
+        return m ** -s
+    return 1 if s == 0 else Fraction(1, m)
+
+
+def total(terms, mode):
+    return fsum(terms) if mode == "float" else sum(terms)
+
+
+def prefix(c, k, s, mode):
+    return total((c[m] * weight(m, s, mode) for m in range(1, k + 1)), mode)
+
+
+def double(a, b, s, mode, js):
+    """sum over j in js, i <= X of a(i)a(j)(ij)^-s B_{floor(X^2/ij)}."""
+    return total((a[i] * a[j] * weight(i * j, s, mode)
+                  * prefix(b, X * X // (i * j), s, mode)
+                  for j in js for i in range(1, X + 1)), mode)
+
+
+def agree(got, want, mode, abs_tol):
+    if mode == "float":
+        return got == pytest.approx(want, abs=abs_tol)
+    return got == want
 
 
 @pytest.fixture(scope="module")
@@ -49,48 +83,56 @@ def cache():
     return SequenceCache(X ** 2)
 
 
-def run(identity, s, cache, j=None):
-    res = verify_case(IdentityCase(identity, X, j, s, "float"), cache)
-    assert res.kind == "float" and res.passed
+def run(identity, s, mode, cache, j=None):
+    res = verify_case(IdentityCase(identity, X, j, s, mode), cache)
+    assert res.kind == ("float" if mode == "float" else "exact") and res.passed
+    assert isinstance(res.lhs, RESULT_TYPE["float" if mode == "float" else s])
     return res
 
 
-@pytest.mark.parametrize("s", [0.5, 2.0])
+@ARITHMETICS
 @pytest.mark.parametrize("pair", sorted(PAIRS))
-def test_closure_lhs_matches_naive_sum(pair, s, cache):
+def test_closure_lhs_matches_naive_sum(pair, s, mode, cache):
     a, b, ids = PAIRS[pair]
-    naive = fsum(a[i] * i ** -s * prefix(b, X // i, s) for i in range(1, X + 1))
-    assert run(ids["closure"], s, cache).lhs == pytest.approx(naive, abs=1e-13)
-    for j in (X, 20, X * X):
-        naive = fsum(a[i] * i ** -s * prefix(b, X * X // (i * j), s)
-                     for i in range(1, X + 1))
-        res = run(ids["nested"], s, cache, j)
-        assert res.lhs == pytest.approx(naive, abs=1e-13), j
+    for identity, j, n in ((ids["closure"], None, X),
+                           *((ids["nested"], j, X * X // j)
+                             for j in (X, 20, X * X))):
+        naive = total((a[i] * weight(i, s, mode) * prefix(b, n // i, s, mode)
+                       for i in range(1, X + 1)), mode)
+        res = run(identity, s, mode, cache, j)
+        assert agree(res.lhs, naive, mode, 1e-13), j
+        assert agree(res.rhs, 1, mode, 0)
 
 
-@pytest.mark.parametrize("s", [0.5, 2.0])
+@ARITHMETICS
 @pytest.mark.parametrize("pair", sorted(PAIRS))
-def test_tail_lhs_matches_naive_sum(pair, s, cache):
-    a, b, ids = PAIRS[pair]
-    xx = X * X
-    naive = fsum(a[i] * a[j] * (i * j) ** -s * prefix(b, xx // (i * j), s)
-                 for j in range(X + 1, xx + 1) for i in range(1, X + 1))
-    res = run(ids["tail"], s, cache)
-    assert res.lhs == pytest.approx(naive, abs=1e-12)
-    assert res.rhs == pytest.approx(prefix(a, xx, s) - prefix(a, X, s),
-                                    abs=1e-12)
-
-
-@pytest.mark.parametrize("s", [0.5, 2.0])
-@pytest.mark.parametrize("pair", sorted(PAIRS))
-def test_square_sides_match_naive_sums(pair, s, cache):
+def test_tail_lhs_matches_naive_sum(pair, s, mode, cache):
     a, b, ids = PAIRS[pair]
     xx = X * X
-    double = fsum(a[i] * a[j] * (i * j) ** -s * prefix(b, xx // (i * j), s)
-                  for i in range(1, X + 1) for j in range(1, X + 1))
-    res = run(ids["square"], s, cache)
-    assert res.lhs == pytest.approx(prefix(a, xx, s), abs=1e-13)
-    assert res.rhs == pytest.approx(2 * prefix(a, X, s) - double, abs=1e-12)
+    res = run(ids["tail"], s, mode, cache)
+    assert agree(res.lhs, double(a, b, s, mode, range(X + 1, xx + 1)), mode,
+                 1e-12)
+    assert agree(res.rhs, prefix(a, xx, s, mode) - prefix(a, X, s, mode),
+                 mode, 1e-12)
+
+
+@ARITHMETICS
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_square_sides_match_naive_sums(pair, s, mode, cache):
+    a, b, ids = PAIRS[pair]
+    res = run(ids["square"], s, mode, cache)
+    assert agree(res.lhs, prefix(a, X * X, s, mode), mode, 1e-13)
+    assert agree(res.rhs, 2 * prefix(a, X, s, mode)
+                 - double(a, b, s, mode, range(1, X + 1)), mode, 1e-12)
+
+
+def test_exact_tail_keeps_integers_for_any_common_denominator():
+    # A cache of 45 shares lcm(1..45), which lies between 2^63 and 2^64:
+    # numpy would infer float64 for weights of mixed sign that size.
+    cache = SequenceCache(45)
+    for identity in (Identity.EQ3, Identity.EQ13):
+        res = verify_case(IdentityCase(identity, 6, None, 1, "exact"), cache)
+        assert res.exact_value == 0 and isinstance(res.lhs, Fraction)
 
 
 # --- the CLI's view of the catalogue ---------------------------------------
@@ -136,6 +178,13 @@ GOLDEN = {
         "713a7be91c21fa3821d831621a9bd68f700ccafe7c93636f5b4b64326be48e26",
     ("--mode", "exact", "--s", "0", "--x-max", "20"):
         "e50b97c617960cf89d6fa912b7bf2a31fa116c9e7a27c0127af5006a594e4078",
+    # Computed before each shape was written once for all three
+    # arithmetics; they pin the float weights, numpy's pow over arrays
+    # and Python's for the tail's per-j weight.
+    ("--mode", "float", "--s", "0", "--x-max", "40"):
+        "be0fae967ae7b783604855fe4d483856e3a8268b9b061c40e23b570419f7613f",
+    ("--mode", "float", "--s", "2", "--x-max", "40"):
+        "e8af88e118c9894bd3d75ba567d9b04245dec2bdf506bca41ede300e5235d865",
 }
 
 

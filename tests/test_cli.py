@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import cli
 from mertenskit.cli import main
 
 
@@ -243,7 +242,7 @@ def test_fraction_cells_render_exactly(capsys):
     assert all(r["residual"] == "0" for r in rows)
 
 
-# --- --threads ----------------------------------------------------------------
+# --- --threads and the work a run does --------------------------------------
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_exit_two_on_nonpositive_threads(threads, capsys):
@@ -253,50 +252,16 @@ def test_exit_two_on_nonpositive_threads(threads, capsys):
     assert "--threads" in err and threads in err
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records the worker count asked
-    for and maps in the calling thread."""
+def test_all_exact_verify_builds_no_float_table(monkeypatch, capsys):
+    built = []
+    prefix = SequenceCache._float_prefix
 
-    sizes = []
+    def counting_prefix(self, kind, s):
+        built.append((kind, s))
+        return prefix(self, kind, s)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    RecordingPool.sizes = []
-    return RecordingPool.sizes
-
-
-def test_pool_is_bounded_by_items_and_cores(recording_pool):
-    items = list(range(10 ** 4))
-    assert cli._map_ordered(lambda v: -v, items, 10 ** 4) == [-v for v in items]
-    assert cli._map_ordered(str, [1, 2, 3], 10 ** 4) == ["1", "2", "3"]
-    assert cli._map_ordered(str, [1, 2], 1) == ["1", "2"]
-    assert recording_pool == [4, 3]
-
-
-def test_verify_threads_beyond_cores_uses_core_count(recording_pool, capsys):
-    code, out, _ = run_cli(["verify", "--id", "eq1", "--x-max", "40",
-                            "--threads", "10000", "--no-timestamp"], capsys)
-    assert code == 0 and len(read_csv(out)) == 39
-    assert recording_pool == [4]
-
-
-def test_unknown_core_count_runs_in_the_calling_thread(recording_pool,
-                                                       monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._map_ordered(str, [1, 2, 3], 8) == ["1", "2", "3"]
-    assert recording_pool == []
+    monkeypatch.setattr(SequenceCache, "_float_prefix", counting_prefix)
+    code, out, _ = run_cli(["verify", "--mode", "exact", "--id", "eq17",
+                            "--x-max", "30", "--no-timestamp"], capsys)
+    assert code == 0 and len(read_csv(out)) == 29
+    assert built == []

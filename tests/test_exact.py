@@ -41,19 +41,6 @@ def test_oscillatory_requires_mu():
         ss.oscillatory(3)
 
 
-def test_weight_range_and_extended_lcm():
-    # lcm_limit extends divisibility past the table length: weights for
-    # divisors up to 24 exist even though sums stop at n = 4.
-    ss = ScaledSums(4, lcm_limit=24)
-    assert ss.denominator == lcm_upto(24)
-    for d in (1, 7, 16, 23, 24):
-        assert ss.weight(d) * d == ss.denominator
-    with pytest.raises(ValueError):
-        ss.weight(25)
-    with pytest.raises(ValueError):
-        ss.weight(0)
-
-
 def test_prefixes_are_running_sums():
     ss = ScaledSums(30, mu=[0] + [mobius_sieve(30)[k] for k in range(1, 31)])
     for k in range(1, 31):

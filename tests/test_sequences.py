@@ -228,7 +228,8 @@ def test_window_identities_share_one_exact_table(monkeypatch):
             assert verify(x, mode="exact", cache=cache).passed
         for verify in (verify_eq2, verify_eq12):
             assert verify(x, x + 1, mode="exact", cache=cache).passed
-    m_200, h_150 = cache.oscillatory_exact(200), cache.harmonic_exact(150)
+    m_200 = oscillatory(200, 1, "exact", cache=cache).value
+    h_150 = cache.exact_sums().harmonic(150)
     assert len(built) == 1
     # Without a cache, oscillatory() and harmonic() build their own table.
     assert m_200 == oscillatory(200, 1, "exact").value == sum(
@@ -238,10 +239,10 @@ def test_window_identities_share_one_exact_table(monkeypatch):
 
 
 def test_cache_exact_prefixes(cache_small):
-    assert cache_small.harmonic_exact(10) == Fraction(7381, 2520)
-    assert cache_small.oscillatory_exact(3) == Fraction(1, 6)
+    assert cache_small.exact_sums().harmonic(10) == Fraction(7381, 2520)
+    assert oscillatory(3, 1, "exact", cache=cache_small).value == Fraction(1, 6)
     with pytest.raises(RationalBoundError):
-        cache_small.oscillatory_exact(201)
+        oscillatory(201, 1, "exact", cache=cache_small)
 
 
 def test_cache_mertens_is_mu_cumsum(cache_small):
