@@ -1,6 +1,6 @@
 """Mobius/Mertens identity toolkit.
 
-Layers: arith (sieves, quotient blocks), sequences (prefix evaluators
+Layers: arith (sieves), sequences (prefix evaluators
 and the sublinear Mertens recursion), identities (residual checks for
 the square/truncation family), gamma (Euler-gamma estimator), induction
 (sup-bound step sweeps), cli (reports).
@@ -8,15 +8,12 @@ the square/truncation family), gamma (Euler-gamma estimator), induction
 
 from .arith import (
     MobiusTable,
-    QuotientBlocks,
     mobius_segment,
     mobius_sieve,
-    nested_floor_check,
     primes_up_to,
-    quotient_blocks,
 )
 from .config import CapacityError, DEFAULT_TOLERANCE, memory_budget
-from .exact import ExactRational, ScaledSums, lcm_upto
+from .exact import ScaledSums, lcm_upto
 from .gamma import GammaEstimate, GammaStudy, gamma_convergence_study, gamma_series
 from .identities import (
     ConvolutionCoefficients,
@@ -49,7 +46,6 @@ from .induction import (
     induction_sweep,
     mertens_square_table,
     minimal_constant,
-    square_sum_comparison,
     sup_mertens,
 )
 from .sequences import (

@@ -1,10 +1,8 @@
-"""Mobius sieving and floor-quotient utilities.
+"""Mobius sieving.
 
 The Mobius function mu(k) is 0 when k has a squared prime factor and
 (-1)^r when k is a product of r distinct primes (mu(1) = 1, the empty
-product).  Everything downstream is built from contiguous mu tables and
-from the decomposition of [1, x] into maximal blocks on which floor(x/i)
-is constant.
+product).  Everything downstream is built from contiguous mu tables.
 """
 
 from dataclasses import dataclass
@@ -16,12 +14,9 @@ from .config import check_capacity
 
 __all__ = [
     "MobiusTable",
-    "QuotientBlocks",
     "mobius_sieve",
     "mobius_segment",
-    "nested_floor_check",
     "primes_up_to",
-    "quotient_blocks",
 ]
 
 
@@ -109,47 +104,3 @@ def mobius_segment(lo: int, hi: int) -> MobiusTable:
     check_capacity(10 * (hi - lo + 1) + 2 * isqrt(hi), f"mobius_segment({lo}, {hi})")
     primes = primes_up_to(isqrt(hi))
     return MobiusTable(lo=lo, values=_mobius_range(lo, hi, primes))
-
-
-@dataclass(frozen=True)
-class QuotientBlocks:
-    """Partition of [1, x] into maximal runs of constant floor(x/i).
-
-    blocks holds (q, i_lo, i_hi) triples with floor(x/i) = q for every
-    i in [i_lo, i_hi]; q strictly decreases across the list and the
-    intervals tile [1, x].  There are at most 2*sqrt(x) + 1 blocks.
-    """
-
-    x: int
-    blocks: tuple
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def quotient_blocks(x: int) -> QuotientBlocks:
-    """Enumerate the constant-quotient blocks of x."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    blocks = []
-    i = 1
-    while i <= x:
-        q = x // i
-        i_hi = x // q
-        blocks.append((q, i, i_hi))
-        i = i_hi + 1
-    return QuotientBlocks(x=x, blocks=tuple(blocks))
-
-
-def nested_floor_check(a: int, b: int, c: int) -> bool:
-    """Truth of floor(floor(a/b)/c) == floor(a/(b*c)).
-
-    This holds for all positive integers; it is what lets a nested
-    quotient like (x^2/j)/i collapse to x^2/(j*i) inside the identities.
-    """
-    if min(a, b, c) < 1:
-        raise ValueError("a, b, c must all be >= 1")
-    return (a // b) // c == a // (b * c)

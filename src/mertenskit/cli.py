@@ -7,7 +7,6 @@ Commands:
     verify     identity residual sweeps (columns pinned below)
     gamma      gamma-series convergence table
     induction  sup-bound step comparison sweep
-    bench      timing probes for the heavy evaluators
 
 Reports are byte-stable: row order is fixed by the input grid, floats
 are printed with %.17g (round-trip), and every command runs in the
@@ -21,82 +20,67 @@ import csv
 import io
 import json
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import mobius_segment, mobius_sieve
+from .arith import mobius_segment
 from .config import (
     DEFAULT_TOLERANCE,
     TRIPLE_LOOP_FLOAT_BOUND,
     CapacityError,
 )
-from .gamma import gamma_convergence_study
+from .gamma import _DEFAULT_POINTS, GammaEstimate, gamma_convergence_study
 from .identities import CATALOGUE, Identity, IdentityCase, verify_case
-from .induction import induction_sweep, mertens_square_table
+from .induction import InductionRow, induction_sweep
 from .sequences import SequenceCache, mertens_sublinear
 
 __all__ = ["RunConfig", "main", "run"]
 
 _VERIFY_COLUMNS = ("identity", "x", "j", "s", "mode", "lhs", "rhs",
                    "residual", "pass")
-_GAMMA_COLUMNS = ("x", "estimate", "reference", "abs_error", "scaled_error")
-_INDUCTION_COLUMNS = ("x", "n", "sup_M", "argmax_y", "sup_M_sq",
-                      "argmax_y_sq", "lhs", "rhs", "ratio", "minimal_C",
-                      "step_holds")
+_GAMMA_COLUMNS = tuple(f.name for f in fields(GammaEstimate))
+_INDUCTION_COLUMNS = tuple(f.name for f in fields(InductionRow))
 _SIEVE_COLUMNS = ("k", "mu", "mertens")
 _MERTENS_COLUMNS = ("x", "mertens")
-_BENCH_COLUMNS = ("operation", "size", "seconds", "result")
 
 _TAIL_CAP = ("eq3/eq13 tail double sums are capped at x <= "
              f"{TRIPLE_LOOP_FLOAT_BOUND} (TRIPLE_LOOP_FLOAT_BOUND)")
 
 @dataclass
 class RunConfig:
-    """One resolved invocation; `run` consumes this and nothing else."""
+    """One resolved invocation; `run` consumes this and nothing else.
+
+    `main` fills it from the parsed arguments, so each default lives in
+    the parser; a field of another command's options stays None.
+    """
 
     command: str
-    output: str = "-"
-    format: str = "csv"
-    threads: int = 1
-    timestamp: bool = True
-    tolerance: float = DEFAULT_TOLERANCE
-    # sieve / mertens
-    lo: int = 1
-    hi: int = 100
-    x: int = 10 ** 6
-    # verify
-    identities: tuple[str, ...] = ()
-    x_min: int = 2
-    x_max: int = 200
-    step: int = 1
-    s: float = 1.0
-    mode: str = "auto"
+    output: str
+    format: str
+    threads: int
+    timestamp: bool
+    tolerance: float
+    # sieve
+    lo: int | None = None
+    hi: int | None = None
+    # mertens
+    x: int | None = None
+    # verify (x_max also induction)
+    identities: list[str] | None = None
+    x_min: int | None = None
+    x_max: int | None = None
+    step: int | None = None
+    s: float | None = None
+    mode: str | None = None
     # gamma
-    points: tuple[int, ...] = (50, 100, 200, 400, 800)
+    points: tuple[int, ...] | None = None
     # induction
-    n: int = 1
-    grid: str = "default"
+    n: int | None = None
+    grid: str | None = None
     mu_file: str | None = None
-    # bench
-    targets: tuple[str, ...] = ("mertens",)
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
 
 
 def _json_cell(v):
@@ -114,6 +98,18 @@ def _json_cell(v):
         return str(v)
     if isinstance(v, (float, np.floating)):
         return float(v)
+    return str(v)
+
+
+def _fmt_cell(v) -> str:
+    """A CSV cell: the JSON value, spelled "" / true / false / %.17g."""
+    v = _json_cell(v)
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return "%.17g" % v
     return str(v)
 
 
@@ -204,10 +200,8 @@ def _run_gamma(config: RunConfig) -> int:
         raise ValueError("gamma needs at least one point")
     if min(config.points) < 2:
         raise ValueError("gamma points must be >= 2")
-    study = gamma_convergence_study(tuple(config.points))
-    rows = [{"x": r.x, "estimate": r.estimate, "reference": r.reference,
-             "abs_error": r.abs_error, "scaled_error": r.scaled_error}
-            for r in study.rows]
+    study = gamma_convergence_study(config.points)
+    rows = [vars(r) for r in study.rows]
     summary = {"max_scaled_error": study.max_scaled_error,
                "doubling_ratios": [float(r) for r in study.doubling_ratios],
                "scaled_error_bounded": study.scaled_error_bounded}
@@ -229,11 +223,7 @@ def _run_induction(config: RunConfig) -> int:
                 f"is {int(mu_values[k])}")
     report = induction_sweep(config.x_max, n=config.n, grid=config.grid,
                              mu_values=mu_values)
-    rows = [{"x": r.x, "n": r.n, "sup_M": r.sup_M, "argmax_y": r.argmax_y,
-             "sup_M_sq": r.sup_M_sq, "argmax_y_sq": r.argmax_y_sq,
-             "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio,
-             "minimal_C": r.minimal_C, "step_holds": r.step_holds}
-            for r in report.rows]
+    rows = [vars(r) for r in report.rows]
     summary = {"x_max": report.x_max, "n": report.n, "grid": report.grid,
                "max_ratio": report.max_ratio, "minimal_C": report.minimal_C,
                "violations": list(report.violations),
@@ -242,7 +232,7 @@ def _run_induction(config: RunConfig) -> int:
     return 0 if not report.violations else 1
 
 
-# --- sieve / mertens / bench -------------------------------------------------
+# --- sieve / mertens ------------------------------------------------------
 
 def _run_sieve(config: RunConfig) -> int:
     if not 1 <= config.lo <= config.hi:
@@ -267,32 +257,9 @@ def _run_mertens(config: RunConfig) -> int:
     return 0
 
 
-def _run_bench(config: RunConfig) -> int:
-    rows = []
-    for target in config.targets:
-        t0 = time.perf_counter()
-        if target == "mertens":
-            result = mertens_sublinear(config.x)
-            size = config.x
-        elif target == "sieve":
-            table = mobius_sieve(config.x)
-            result = int(table.values.sum())
-            size = config.x
-        elif target == "square-table":
-            m_small, m_sq = mertens_square_table(config.x_max)
-            result = int(m_sq[config.x_max])
-            size = config.x_max * config.x_max
-        else:
-            raise ValueError(f"unknown bench target {target!r}")
-        rows.append({"operation": target, "size": size,
-                     "seconds": time.perf_counter() - t0, "result": result})
-    _emit(config, _BENCH_COLUMNS, rows, {"targets": list(config.targets)})
-    return 0
-
-
 _RUNNERS = {"sieve": _run_sieve, "mertens": _run_mertens,
             "verify": _run_verify, "gamma": _run_gamma,
-            "induction": _run_induction, "bench": _run_bench}
+            "induction": _run_induction}
 
 
 def run(config: RunConfig) -> int:
@@ -351,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gamma", help="gamma-series convergence table")
-    p.add_argument("--points", default="50,100,200,400,800",
+    p.add_argument("--points", default=",".join(map(str, _DEFAULT_POINTS)),
                    help="comma-separated truncation points")
     _add_common(p)
 
@@ -359,56 +326,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=int, default=10000)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--grid", choices=("default", "all"), default="default")
-    p.add_argument("--mu-file", default=None,
+    p.add_argument("--mu-file",
                    help="whitespace-separated mu values for k=1.., replacing "
                         "the sieve (synthetic-data runs)")
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="time the heavy evaluators")
-    p.add_argument("--target", dest="targets", action="append", default=[],
-                   help="mertens | sieve | square-table; repeatable")
-    p.add_argument("--x", type=int, default=10 ** 8)
-    p.add_argument("--x-max", type=int, default=1000)
     _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}",
+    args = vars(_build_parser().parse_args(argv))
+    if args["threads"] < 1:
+        print(f"error: --threads must be >= 1, got {args['threads']}",
               file=sys.stderr)
         return 2
-    try:
-        points = tuple(int(t) for t in str(
-            getattr(args, "points", "")).split(",") if t.strip())
-    except ValueError:
-        print("error: --points must be comma-separated integers",
-              file=sys.stderr)
-        return 2
-    config = RunConfig(
-        command=args.command,
-        output=args.output,
-        format=args.format,
-        threads=args.threads,
-        timestamp=not args.no_timestamp,
-        tolerance=args.tolerance,
-        lo=getattr(args, "lo", 1),
-        hi=getattr(args, "hi", 100),
-        x=getattr(args, "x", 10 ** 6),
-        identities=tuple(getattr(args, "identities", []) or []),
-        x_min=getattr(args, "x_min", 2),
-        x_max=getattr(args, "x_max", 200),
-        step=getattr(args, "step", 1),
-        s=getattr(args, "s", 1.0),
-        mode=getattr(args, "mode", "auto"),
-        points=points or (50, 100, 200, 400, 800),
-        n=getattr(args, "n", 1),
-        grid=getattr(args, "grid", "default"),
-        mu_file=getattr(args, "mu_file", None),
-        targets=tuple(getattr(args, "targets", []) or ["mertens"]),
-    )
-    return run(config)
+    args["timestamp"] = not args.pop("no_timestamp")
+    if "points" in args:
+        try:
+            args["points"] = tuple(int(t) for t in args["points"].split(",")
+                                   if t.strip())
+        except ValueError:
+            print("error: --points must be comma-separated integers",
+                  file=sys.stderr)
+            return 2
+    return run(RunConfig(**args))
 
 
 if __name__ == "__main__":

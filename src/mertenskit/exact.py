@@ -1,11 +1,9 @@
 """Exact rational arithmetic over a shared power-of-lcm denominator.
 
-ExactRational is the stdlib Fraction: always in lowest terms, positive
-denominator, arithmetic never rounds.  Bulk identity checks avoid
-per-term Fraction normalization by working with integer numerators over
-a fixed denominator L = lcm(1..n): every 1/k with k <= n is the integer
-L//k, every truncated sum of such terms is an integer, and a residual is
-zero iff its scaled numerator is zero.
+Bulk identity checks avoid per-term Fraction normalization by working
+with integer numerators over a fixed denominator L = lcm(1..n): every
+1/k with k <= n is the integer L//k, every truncated sum of such terms
+is an integer, and a residual is zero iff its scaled numerator is zero.
 """
 
 from fractions import Fraction
@@ -15,9 +13,7 @@ import numpy as np
 
 from .arith import primes_up_to
 
-ExactRational = Fraction
-
-__all__ = ["ExactRational", "ScaledSums", "lcm_upto"]
+__all__ = ["ScaledSums", "lcm_upto"]
 
 
 def lcm_upto(n: int) -> int:

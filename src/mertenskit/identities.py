@@ -261,6 +261,18 @@ class _Count:
         return k
 
 
+class _Lazy:
+    """A float prefix table at s, read through the cache's accessor
+    (harmonic_float or oscillatory_float) on each index, so a shape
+    builds only the tables it reads."""
+
+    def __init__(self, table: Callable, s: float):
+        self.table, self.s = table, s
+
+    def __getitem__(self, k):
+        return self.table(self.s)[k]
+
+
 class _Arith(NamedTuple):
     """One arithmetic for the sums of a Dirichlet pair with tables to n.
 
@@ -305,7 +317,8 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
                 return k.astype(np.float64) ** e
             return float(k) ** e
 
-        A, B = pair.ab(cache.harmonic_float(s), cache.oscillatory_float(s))
+        A, B = pair.ab(_Lazy(cache.harmonic_float, s),
+                       _Lazy(cache.oscillatory_float, s))
         return _Arith(a, A, B, power, fsum, lambda v, p: float(v), 1.0,
                       "float")
     if s == 0:

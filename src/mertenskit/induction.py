@@ -33,7 +33,6 @@ __all__ = [
     "induction_sweep",
     "mertens_square_table",
     "minimal_constant",
-    "square_sum_comparison",
     "sup_mertens",
 ]
 
@@ -285,33 +284,3 @@ def double_sum_cross_check(y: int, cache: SequenceCache | None = None,
            else frac_form.float_value)
     return Residual(kind="float", lhs=float(lhs), rhs=float(rhs),
                     float_value=val, tolerance=frac_form.tolerance)
-
-
-def square_sum_comparison(y_max: int,
-                          cache: SequenceCache | None = None) -> list[dict]:
-    """Tabulate |double sum| vs |M_{y^2}| for y up to y_max.
-
-    The two differ by exactly 2 M_y, so their magnitudes track each
-    other; rows carry both magnitudes and the offset for inspection.
-    The double sum is evaluated directly (grouped by products), not via
-    the identity.
-    """
-    from .identities import convolution_coeffs
-
-    if y_max < 3:
-        raise ValueError(f"y_max must be >= 3, got {y_max}")
-    if cache is None or cache.limit < y_max * y_max:
-        cache = SequenceCache(y_max * y_max)
-    rows = []
-    for y in range(3, y_max + 1):
-        yy = y * y
-        ps, cs = convolution_coeffs(y, "mobius", cache).nonzero()
-        dsum = int(np.dot(cs, yy // ps))
-        rows.append({
-            "y": y,
-            "double_sum": dsum,
-            "mertens_at_square": int(cache.mertens[yy]),
-            "offset_2M": 2 * int(cache.mertens[y]),
-            "abs_gap": abs(dsum) - abs(int(cache.mertens[yy])),
-        })
-    return rows

@@ -22,7 +22,7 @@ from math import fsum, isqrt, log
 
 import numpy as np
 
-from .arith import MobiusTable, mobius_sieve
+from .arith import mobius_sieve
 from .config import RATIONAL_BOUND, check_capacity
 from .exact import ScaledSums
 
@@ -107,9 +107,6 @@ class SequenceCache:
         ))
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
-
-    def mobius_table(self) -> MobiusTable:
-        return MobiusTable(lo=1, values=self.mu[1:])
 
     def _float_prefix(self, kind: str, s: float) -> np.ndarray:
         key = (kind, float(s))

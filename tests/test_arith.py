@@ -1,8 +1,7 @@
-"""Sieve and quotient-block foundations.
+"""Sieve foundations.
 
 Frozen oracles: mu values checked by hand against the definition
-(squarefree sign by prime-factor count), plus block decompositions
-enumerated directly.
+(squarefree sign by prime-factor count).
 """
 
 from math import gcd, isqrt
@@ -15,9 +14,7 @@ from hypothesis import strategies as st
 from mertenskit import (
     mobius_segment,
     mobius_sieve,
-    nested_floor_check,
     primes_up_to,
-    quotient_blocks,
 )
 
 # (k, mu(k)): 1 has no factors; 2,3,5,7 prime; 4=2^2, 8, 9, 12 squareful;
@@ -87,36 +84,6 @@ def test_segment_validates_range():
         mobius_segment(0, 10)
     with pytest.raises(ValueError):
         mobius_segment(10, 5)
-
-
-def test_quotient_blocks_oracle_x10():
-    got = list(quotient_blocks(10))
-    assert got == [(10, 1, 1), (5, 2, 2), (3, 3, 3), (2, 4, 5), (1, 6, 10)]
-
-
-@given(st.integers(min_value=1, max_value=20000))
-@settings(max_examples=120, deadline=None)
-def test_quotient_blocks_invariants(x):
-    blocks = list(quotient_blocks(x))
-    # Coverage: blocks tile [1, x] in order with no gaps.
-    assert blocks[0][1] == 1 and blocks[-1][2] == x
-    for (qa, _, hi_a), (qb, lo_b, _) in zip(blocks, blocks[1:]):
-        assert lo_b == hi_a + 1
-        assert qb < qa
-    # Constancy at both endpoints, strict change just outside.
-    for q, lo, hi in blocks:
-        assert x // lo == q and x // hi == q
-        if hi < x:
-            assert x // (hi + 1) < q
-    assert len(blocks) <= 2 * isqrt(x) + 1
-
-
-@given(st.integers(min_value=1, max_value=10 ** 9),
-       st.integers(min_value=1, max_value=10 ** 4),
-       st.integers(min_value=1, max_value=10 ** 4))
-@settings(max_examples=200, deadline=None)
-def test_nested_floor_property(a, b, c):
-    assert nested_floor_check(a, b, c)
 
 
 def test_mobius_table_indexing():

@@ -12,7 +12,14 @@ from math import fsum
 
 import pytest
 
-from mertenskit import Identity, IdentityCase, SequenceCache, verify_case
+from mertenskit import (
+    Identity,
+    IdentityCase,
+    SequenceCache,
+    verify_case,
+    verify_eq1,
+    verify_eq3,
+)
 from mertenskit.cli import main
 
 
@@ -133,6 +140,24 @@ def test_exact_tail_keeps_integers_for_any_common_denominator():
     for identity in (Identity.EQ3, Identity.EQ13):
         res = verify_case(IdentityCase(identity, 6, None, 1, "exact"), cache)
         assert res.exact_value == 0 and isinstance(res.lhs, Fraction)
+
+
+@pytest.mark.parametrize("verify, x, tables", [(verify_eq1, 100, 1),
+                                              (verify_eq3, 10, 2)])
+def test_float_case_builds_only_the_tables_it_reads(verify, x, tables,
+                                                    monkeypatch):
+    # The closure reads only B; the tail reads A and B.
+    built = []
+    prefix = SequenceCache._float_prefix
+
+    def counting_prefix(self, kind, s):
+        if (kind, float(s)) not in self._float_tables:
+            built.append(kind)
+        return prefix(self, kind, s)
+
+    monkeypatch.setattr(SequenceCache, "_float_prefix", counting_prefix)
+    res = verify(x, s=0.5, mode="float", cache=SequenceCache(10 ** 4))
+    assert res.passed and len(built) == tables
 
 
 # --- the CLI's view of the catalogue ---------------------------------------

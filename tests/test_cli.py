@@ -73,13 +73,12 @@ def test_mertens_command(capsys):
     assert rows == [{"x": "100000", "mertens": "-48"}]
 
 
-def test_bench_command(capsys):
-    code, out, _ = run_cli(["bench", "--target", "sieve", "--x", "10000",
-                            "--no-timestamp"], capsys)
-    assert code == 0
-    rows = read_csv(out)
-    assert rows[0]["operation"] == "sieve"
-    assert float(rows[0]["seconds"]) >= 0.0
+def test_bench_is_not_a_command(capsys):
+    # Benchmarks live in bench/run.py; the CLI has no timing probes.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # --- exit codes ----------------------------------------------------------------
@@ -114,6 +113,14 @@ def test_exit_two_on_bad_points(capsys):
     assert code == 2
     code, _, _ = run_cli(["gamma", "--points", "1,50"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("points", ["", ","])
+def test_exit_two_on_empty_points(points, capsys):
+    code, out, err = run_cli(["gamma", "--points", points, "--no-timestamp"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "at least one point" in err
 
 
 def test_exit_one_on_induction_violation(tmp_path, capsys):

@@ -13,7 +13,6 @@ from mertenskit import (
     induction_sweep,
     mertens_square_table,
     minimal_constant,
-    square_sum_comparison,
     sup_mertens,
 )
 from mertenskit.induction import sup_curves
@@ -155,17 +154,3 @@ def test_double_sum_cross_check_exact(cache_square):
 def test_double_sum_cross_check_float_fallback(cache_square):
     r = double_sum_cross_check(400, cache_square)
     assert r.kind == "float" and r.passed
-
-
-def test_square_sum_comparison_rows(cache_small):
-    rows = square_sum_comparison(40, cache_small)
-    assert [r["y"] for r in rows] == list(range(3, 41))
-    mer = cache_small.mertens
-    for r in rows:
-        y = r["y"]
-        # Offset column really is 2 M_y and ties the two magnitudes: the
-        # directly computed double sum must equal 2 M_y - M_{y^2}.
-        assert r["offset_2M"] == 2 * int(mer[y])
-        assert r["double_sum"] == 2 * int(mer[y]) - int(mer[y * y])
-        assert r["mertens_at_square"] == int(mer[y * y])
-        assert r["abs_gap"] == abs(r["double_sum"]) - abs(r["mertens_at_square"])
