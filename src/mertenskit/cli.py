@@ -175,9 +175,11 @@ def _run_verify(config: RunConfig) -> int:
         raise ValueError(f"no cases to run: {_TAIL_CAP}")
     need = max(c.x ** CATALOGUE[c.identity].reach for c in cases)
     cache = SequenceCache(need)
+    memo = {}
 
     def one(case: IdentityCase) -> dict:
-        res = verify_case(case, cache=cache, tolerance=config.tolerance)
+        res = verify_case(case, cache=cache, tolerance=config.tolerance,
+                          memo=memo)
         return {"identity": case.identity.value, "x": case.x, "j": case.j,
                 "s": case.s, "mode": res.kind, "lhs": res.lhs, "rhs": res.rhs,
                 "residual": res.value, "pass": res.passed}
@@ -200,6 +202,10 @@ def _run_gamma(config: RunConfig) -> int:
         raise ValueError("gamma needs at least one point")
     if min(config.points) < 2:
         raise ValueError("gamma points must be >= 2")
+    repeated = sorted({p for p in config.points if config.points.count(p) > 1})
+    if repeated:
+        raise ValueError(f"gamma points must be distinct, repeated: "
+                         f"{', '.join(map(str, repeated))}")
     study = gamma_convergence_study(config.points)
     rows = [vars(r) for r in study.rows]
     summary = {"max_scaled_error": study.max_scaled_error,
@@ -341,9 +347,13 @@ def main(argv=None) -> int:
         return 2
     args["timestamp"] = not args.pop("no_timestamp")
     if "points" in args:
+        items = [t.strip() for t in args["points"].split(",")]
+        if any(items) and not all(items):
+            print(f"error: --points has a blank item: {args['points']!r}",
+                  file=sys.stderr)
+            return 2
         try:
-            args["points"] = tuple(int(t) for t in args["points"].split(",")
-                                   if t.strip())
+            args["points"] = tuple(int(t) for t in items if t)
         except ValueError:
             print("error: --points must be comma-separated integers",
                   file=sys.stderr)

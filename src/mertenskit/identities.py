@@ -44,6 +44,13 @@ the result:
 An exact residual is identically zero or the check fails.  The square
 shape groups its double sum through convolution coefficients c_p,
 shrinking x^2 terms to the number of products realized below x^2.
+eq18 takes floor and remainder of x^2/ij from one divmod per pair of
+squarefree i, j <= x, so its floor sum stays pairwise: an independent
+route from eq17's grouped sum, against which it is cross-checked.
+
+Cases that resolve alike (verifier, pair, x, j, s and mode) share one
+evaluation within a run through verify_case's memo: at s = 1 eq7 is
+eq5's case and eq16 is eq15's, and at s = 0 eq6 is eq5's.
 
 CATALOGUE holds, per identity, its shape, pair, pinned exponent and
 mode bounds; the CLI reads the catalogue order and metadata from it.
@@ -410,30 +417,28 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
     """eq18.  The floor/fraction split x^2/ij = floor + frac ties it to
     eq17: sum mu mu floor(x^2/ij) + sum mu mu frac(x^2/ij) = x^2 m_x^2,
     and the exact path certifies that bridge together with the identity
-    itself.  Exact mode accumulates floor and remainder from one divmod
-    per pair, then cross-checks the floor total against the grouped eq17
-    route.  eq18 exists only for (mu, 1) at s = 1, so it reads mu, M and
-    m_x directly and takes `pair` and `s` for the common signature.
+    itself.  Both modes take floor and remainder from one divmod per
+    pair (i, j) of squarefree i, j <= x; exact mode then cross-checks
+    the pairwise floor total against the grouped eq17 route.  eq18
+    exists only for (mu, 1) at s = 1, so it reads mu, M and m_x directly
+    and takes `pair` and `s` for the common signature.
     """
     xx = x * x
     cache = _ensure_cache(cache, xx)
-    mu = cache.mu
     lhs = int(cache.mertens[xx])
     m_x = int(cache.mertens[x])
-    sqfree = [i for i in range(1, x + 1) if mu[i]]
+    sq = np.flatnonzero(cache.mu[1:x + 1]) + 1
+    mu_sq = cache.mu[sq].astype(np.int64)
+    prods = np.multiply.outer(sq, sq)
+    q, r = np.divmod(xx, prods)
     if mode == "exact":
         ss = cache.exact_sums()
-        L, weights = ss.denominator, ss.weights.tolist()
+        L, w = ss.denominator, ss.weights[sq]
         a_num = ss.oscillatory_num[x]
-        floor_sum = 0
-        frac_num = 0
-        for i in sqfree:
-            mi, wi = int(mu[i]), weights[i]
-            for j in sqfree:
-                q, r = divmod(xx, i * j)
-                w = mi * int(mu[j])
-                floor_sum += w * q
-                frac_num += w * r * wi * weights[j]
+        # x^2 <= RATIONAL_BOUND^2, so the floor total fits in int64; the
+        # remainders meet the big-integer weights once per row.
+        floor_sum = int(mu_sq @ q @ mu_sq)
+        frac_num = int(np.dot(mu_sq * w, (r * mu_sq).astype(object) @ w))
         # Bridge: floor and fractional parts recombine to x^2 m_x^2.
         bridge = xx * a_num * a_num - frac_num - L * L * floor_sum
         resid_num = (lhs - 2 * m_x) * L * L + xx * a_num * a_num - frac_num
@@ -446,14 +451,9 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
             val = Fraction((2 * m_x - floor_sum) - grouped.rhs)
         return _exact(val, lhs, rhs)
     m_f = float(cache.oscillatory_float(1.0)[x])
-    chunks = []
-    for i in sqfree:
-        js = np.array(sqfree, dtype=np.int64)
-        prods = i * js
-        rems = xx - (xx // prods) * prods
-        w = float(mu[i]) * mu[js].astype(np.float64)
-        chunks.append(w * rems / prods)
-    frac_sum = fsum(np.concatenate(chunks).tolist())
+    mu_f = mu_sq.astype(np.float64)
+    terms = np.multiply.outer(mu_f, mu_f) * r / prods
+    frac_sum = fsum(terms.ravel().tolist())
     rhs = 2.0 * m_x - xx * m_f * m_f + frac_sum
     return _float(lhs - rhs, float(lhs), rhs, tolerance)
 
@@ -502,12 +502,18 @@ CATALOGUE = {
 
 
 def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
-                tolerance: float | None = None) -> Residual:
+                tolerance: float | None = None, *,
+                memo: dict | None = None) -> Residual:
     """Run one IdentityCase through its catalogue entry.
 
     Identities pinned at s = 0 are integer counting forms and always run
     exact.  Otherwise "auto" runs exact when s is 0 or 1 and x is within
     the entry's bound for that s, and "exact" outside those is an error.
+
+    `memo`, when given, maps each resolved case (verifier, pair, x, j,
+    s, mode) to its Residual, so cases that resolve alike share one
+    evaluation: eq7 reuses eq5 at s = 1, eq16 reuses eq15, and eq6
+    reuses eq5 at s = 0.  A memo serves one cache and one tolerance.
     """
     entry = CATALOGUE[case.identity]
     x, s, mode = case.x, case.s, case.mode
@@ -525,8 +531,14 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
     if entry.x_cap is not None and x > entry.x_cap:
         raise ValueError(f"{case.identity.value} is capped at x <= "
                          f"{entry.x_cap} in every mode, got {x}")
+    key = (entry.verify, entry.pair, x, case.j, s, mode)
+    if memo is not None and key in memo:
+        return memo[key]
     args = (entry.pair, x, s, mode, cache, tolerance)
-    return entry.verify(*args, case.j) if entry.needs_j else entry.verify(*args)
+    res = entry.verify(*args, case.j) if entry.needs_j else entry.verify(*args)
+    if memo is not None:
+        memo[key] = res
+    return res
 
 
 # --- public verifiers, one per identity -------------------------------------

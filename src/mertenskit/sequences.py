@@ -87,8 +87,9 @@ class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
     Eager: mu (int8) and the integer Mertens prefix.  Everything else
-    (float prefix tables per exponent, the one exact ScaledSums table)
-    is built on first use and kept.  A cache is single-threaded: the
+    (float prefix tables per exponent, the one exact ScaledSums table,
+    the memo of mertens_sublinear over this cache's table) is built on
+    first use and kept.  A cache is single-threaded: the
     lazy tables are built without a lock.  Arrays have length limit+1
     with slot 0 a zero pad, so table[k] is the value at k with no
     offset bookkeeping.
@@ -107,6 +108,7 @@ class SequenceCache:
         ))
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
+        self._sublinear_memo: dict[int, int] = {}
 
     def _float_prefix(self, kind: str, s: float) -> np.ndarray:
         key = (kind, float(s))
@@ -153,8 +155,8 @@ def mertens_value(x: int, cache: SequenceCache) -> int:
 
 # Grow-only base table for the sublinear evaluator, shared across calls
 # so repeated queries reuse both the sieve and the memoized recursion.
-# A memo entry is the true M(v) for a v above the base table that made
-# it, so it serves any base table, a caller's SequenceCache included.
+# A recursion over a caller's SequenceCache memoizes into that cache
+# instead, so its entries go when the cache goes.
 _SUBLINEAR_TABLE: dict[str, object] = {"limit": 0, "mertens": None}
 _SUBLINEAR_MEMO: dict[int, int] = {}
 
@@ -173,11 +175,13 @@ def _sublinear_base(limit: int) -> np.ndarray:
     return _SUBLINEAR_TABLE["mertens"]
 
 
-def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int) -> int:
-    """M(v) = 1 - sum_{i=2..v} M(v//i), grouped over quotient blocks."""
+def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
+                     memo: dict[int, int]) -> int:
+    """M(v) = 1 - sum_{i=2..v} M(v//i), grouped over quotient blocks;
+    `memo` holds M(v) for the v above tab_limit seen so far."""
     if v <= tab_limit:
         return int(tab[v])
-    hit = _SUBLINEAR_MEMO.get(v)
+    hit = memo.get(v)
     if hit is not None:
         return hit
     d = isqrt(v)
@@ -187,7 +191,7 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int) -> int:
     args = v // np.arange(2, d + 1, dtype=np.int64)
     big = args > tab_limit
     if big.any():
-        total += sum(_mertens_recurse(int(a), tab, tab_limit)
+        total += sum(_mertens_recurse(int(a), tab, tab_limit, memo)
                      for a in args[big])
         args = args[~big]
     total += int(tab[args].sum())
@@ -199,7 +203,7 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int) -> int:
         counts = v // qs - np.maximum(v // (qs + 1), d)
         total += int(np.dot(counts, tab[qs]))
     result = 1 - total
-    _SUBLINEAR_MEMO[v] = result
+    memo[v] = result
     return result
 
 
@@ -215,12 +219,14 @@ def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
     base_limit = max(1024, int(round(x ** (2.0 / 3.0))))
     if cache is not None and cache.limit >= min(x, base_limit):
         tab, tab_limit = cache.mertens, cache.limit
+        memo = cache._sublinear_memo
     else:
         tab = _sublinear_base(min(x, base_limit))
         tab_limit = _SUBLINEAR_TABLE["limit"]
+        memo = _SUBLINEAR_MEMO
     if x <= tab_limit:
         return int(tab[x])
-    return _mertens_recurse(x, tab, tab_limit)
+    return _mertens_recurse(x, tab, tab_limit, memo)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ defining sums, with no prefix tables, grouping or quotient tricks.
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from math import fsum
 
@@ -20,6 +21,7 @@ from mertenskit import (
     verify_eq1,
     verify_eq3,
 )
+from mertenskit import identities
 from mertenskit.cli import main
 
 
@@ -181,6 +183,25 @@ def test_pinned_exponents_override_s(tmp_path):
     pinned = {"eq6": 0.0, "eq17": 0.0, "eq7": 1.0, "eq16": 1.0, "eq18": 1.0}
     for r in rows:
         assert r["s"] == pinned.get(r["identity"], 0.5), r
+
+
+def test_verify_evaluates_each_square_case_once(tmp_path, monkeypatch):
+    # Per x, the plain coefficients serve eq5 at s = 1 (eq7 shares it)
+    # and eq6; the Mobius ones serve eq15 (eq16 shares it), eq17 and
+    # eq18's cross-check against eq17's grouped route.
+    calls = Counter()
+    build = identities.convolution_coeffs
+
+    def counting(x, kind="plain", cache=None):
+        calls[x, kind] += 1
+        return build(x, kind, cache)
+
+    monkeypatch.setattr(identities, "convolution_coeffs", counting)
+    rows = verify_rows(["--x-max", "20"], tmp_path)
+    assert {r["identity"] for r in rows} >= {"eq5", "eq7", "eq15", "eq16"}
+    xs = range(2, 21)
+    assert calls == Counter({**{(x, "plain"): 2 for x in xs},
+                             **{(x, "mobius"): 3 for x in xs}})
 
 
 def test_counting_forms_stay_exact_in_float_mode(tmp_path):

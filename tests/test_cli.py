@@ -123,6 +123,19 @@ def test_exit_two_on_empty_points(points, capsys):
     assert "at least one point" in err
 
 
+@pytest.mark.parametrize("points, message", [
+    ("50,,100", "blank item"),
+    ("50,", "blank item"),
+    (" 50 , 100,100", "repeated: 100"),
+])
+def test_exit_two_on_blank_or_repeated_points(points, message, capsys):
+    # Every requested point gets a row or the request is refused.
+    code, out, err = run_cli(["gamma", "--points", points, "--no-timestamp"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_exit_one_on_induction_violation(tmp_path, capsys):
     # Synthetic mu = +1 everywhere collapses the sqrt bound.
     mu_file = tmp_path / "mu.txt"

@@ -159,6 +159,39 @@ def test_fraction_form_exact(cache_small):
         assert r.kind == "exact" and r.exact_value == 0, x
 
 
+def mu_plain(n):
+    """mu(0..n) by a plain sieve of Eratosthenes, mu(0) = 0."""
+    mu, prime = [0] + [1] * n, [True] * (n + 1)
+    for p in range(2, n + 1):
+        if prime[p]:
+            for m in range(p, n + 1, p):
+                prime[m] = m == p
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+@pytest.mark.parametrize("xs", [range(2, 41), (199, 200)],
+                         ids=["2..40", "199-200"])
+def test_fraction_form_exact_matches_pairwise_fractions(xs):
+    # M_{x^2} against 2 M_x - x^2 m_x^2 + sum mu(i)mu(j) frac(x^2/ij),
+    # one Fraction per pair (i, j).
+    mu = mu_plain(max(xs) ** 2)
+    cache = SequenceCache(max(xs) ** 2)
+    for x in xs:
+        xx = x * x
+        m_x = sum(Fraction(mu[k], k) for k in range(1, x + 1))
+        frac = sum(Fraction(mu[i] * mu[j] * (xx % (i * j)), i * j)
+                   for i in range(1, x + 1) if mu[i]
+                   for j in range(1, x + 1) if mu[j])
+        lhs = sum(mu[1:xx + 1])
+        rhs = 2 * sum(mu[1:x + 1]) - xx * m_x * m_x + frac
+        r = verify_eq18(x, "exact", cache)
+        assert (r.lhs, r.rhs, r.exact_value) == (lhs, rhs, lhs - rhs), x
+        assert r.passed and lhs == rhs, x
+
+
 # --- naive vs grouped -------------------------------------------------------
 
 def test_square_identity_naive_double_loop_int(cache_small):
@@ -229,6 +262,25 @@ def test_fraction_form_float_beyond_rational_bound(cache_square):
     assert r.kind == "float" and r.passed
 
 
+# (lhs, rhs, residual) of float eq18 just past the rational bound, from
+# the per-row evaluation the vectorised one replaced.  fsum is exactly
+# rounded, so the terms' order cannot move a bit.
+EQ18_FLOAT = {
+    201: (-11.0, -10.999999999999993, -7.105427357601002e-15),
+    202: (2.0, 2.0000000000000036, -3.552713678800501e-15),
+    203: (4.0, 4.000000000000011, -1.0658141036401503e-14),
+    204: (-17.0, -16.999999999999996, -3.552713678800501e-15),
+    205: (-42.0, -42.0, 0.0),
+}
+
+
+def test_fraction_form_float_values_pinned(cache_square):
+    for x, want in EQ18_FLOAT.items():
+        r = verify_eq18(x, "float", cache_square)
+        got = (r.lhs, r.rhs, r.float_value)
+        assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+
 def test_float_residuals_are_tiny(cache_square):
     # Residuals should sit many orders below the default tolerance.
     worst = max(abs(verify_eq7(x, "float", cache_square).float_value)
@@ -270,6 +322,22 @@ def test_exact_mode_bound_errors(cache_small):
 def test_eq1_closure_property_random_x(x):
     cache = SequenceCache(300)
     assert verify_eq1(x, 0.0, "exact", cache).exact_value == 0
+
+
+def test_memo_shares_cases_that_resolve_alike(cache_small):
+    memo = {}
+
+    def run(identity, x, s=1.0, mode="auto"):
+        return verify_case(IdentityCase(identity, x, None, s, mode),
+                           cache_small, memo=memo)
+
+    for x, mode in ((10, "exact"), (100, "float")):
+        eq5 = run(Identity.EQ5, x)
+        assert eq5.kind == mode and run(Identity.EQ7, x) is eq5
+        assert run(Identity.EQ16, x) is run(Identity.EQ15, x)
+    assert run(Identity.EQ6, 10, 0.0) is run(Identity.EQ5, 10, 0.0)
+    assert run(Identity.EQ7, 10, mode="float") is not run(Identity.EQ5, 10)
+    assert run(Identity.EQ17, 10, 0.0) is not run(Identity.EQ6, 10, 0.0)
 
 
 def test_dispatcher_covers_catalogue(cache_small):

@@ -4,7 +4,9 @@ Mertens spot values at powers of ten are the published ones; everything
 else is checked against independent brute-force recomputation.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import fsum, log
 
@@ -24,6 +26,7 @@ from mertenskit import (
     mertens_value,
     oscillatory,
 )
+from mertenskit import sequences
 from mertenskit.exact import ScaledSums
 from mertenskit.identities import (
     verify_eq1,
@@ -84,6 +87,26 @@ def test_memo_entries_serve_either_sublinear_base_table(cache_square):
     assert mertens_sublinear(10 ** 9, cache_square) == -222
     assert mertens_sublinear(10 ** 9) == -222
     assert mertens_sublinear(10 ** 9 + 1, cache_square) == -223  # mu = -1
+
+
+def test_sublinear_memo_lives_with_the_callers_cache():
+    # Queries over a covering cache memoize into that cache, one entry per
+    # quotient x//n above its table, and leave the module's memo alone.
+    limit = 10 ** 5
+    xs = range(10 ** 7, 10 ** 7 + 200)
+    module_memo = dict(sequences._SUBLINEAR_MEMO)
+    cache = SequenceCache(limit)
+    values = [mertens_sublinear(x, cache) for x in xs]
+    quotients = {x // n for x in xs for n in range(1, x // limit + 1)
+                 if x // n > limit}
+    assert len(cache._sublinear_memo) == len(quotients) == 1115
+    assert sequences._SUBLINEAR_MEMO == module_memo
+    gone = weakref.ref(cache)
+    del cache
+    gc.collect()
+    assert gone() is None
+    assert values[0] == mertens_sublinear(xs[0])
+    assert values[-1] == mertens_sublinear(xs[-1])
 
 
 def test_oscillatory_exact_oracles(cache_small):
