@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 
@@ -170,6 +171,11 @@ def _verify_cases(config: RunConfig) -> tuple[list[IdentityCase], int]:
 
 
 def _run_verify(config: RunConfig) -> int:
+    if not (isfinite(config.tolerance) and config.tolerance >= 0):
+        raise ValueError(
+            f"--tolerance must be finite and >= 0, got {config.tolerance}")
+    if not isfinite(config.s):
+        raise ValueError(f"--s must be finite, got {config.s}")
     cases, skipped = _verify_cases(config)
     if not cases:
         raise ValueError(f"no cases to run: {_TAIL_CAP}")

@@ -13,7 +13,7 @@ from math import fsum
 
 from .config import GAMMA_SERIES_CAP, CapacityError
 from .identities import convolution_coeffs
-from .sequences import EULER_GAMMA, SequenceCache
+from .sequences import EULER_GAMMA, SequenceCache, _covering
 
 __all__ = ["GammaEstimate", "GammaStudy", "gamma_series",
            "gamma_convergence_study"]
@@ -56,8 +56,7 @@ def gamma_series(x: int, cache: SequenceCache | None = None) -> GammaEstimate:
         raise CapacityError(
             f"gamma series needs tables to x^2; capped at x <= {GAMMA_SERIES_CAP}")
     xx = x * x
-    if cache is None or cache.limit < xx:
-        cache = SequenceCache(xx)
+    cache = _covering(cache, xx)
     m = cache.oscillatory_float(1.0)
     ps, cs = convolution_coeffs(x, "plain", cache).nonzero()
     terms = (cs / ps) * m[xx // ps]
@@ -79,8 +78,7 @@ def gamma_convergence_study(points: tuple[int, ...] = _DEFAULT_POINTS,
     xs = sorted(set(int(p) for p in points))
     if not xs:
         raise ValueError("points must be non-empty")
-    if cache is None or cache.limit < xs[-1] ** 2:
-        cache = SequenceCache(xs[-1] ** 2)
+    cache = _covering(cache, xs[-1] ** 2)
     rows = tuple(gamma_series(x, cache) for x in xs)
     by_x = {r.x: r for r in rows}
     ratios = tuple(by_x[2 * x].scaled_error / by_x[x].scaled_error

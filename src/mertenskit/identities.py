@@ -73,7 +73,7 @@ from .config import (
     check_capacity,
 )
 from .exact import ScaledSums
-from .sequences import ExactModeError, RationalBoundError, SequenceCache, _mu_upto
+from .sequences import ExactModeError, RationalBoundError, SequenceCache, _covering
 
 __all__ = [
     "CATALOGUE",
@@ -208,19 +208,13 @@ def convolution_coeffs(x: int, kind: str = "plain",
         for i in range(1, x + 1):
             c[i:i * x + 1:i] += 1
     else:
-        mu = _mu_upto(x, cache)
+        mu = _covering(cache, x).mu[:x + 1]
         row = mu[1:].astype(np.int64)
         for i in range(1, x + 1):
             mi = int(mu[i])
             if mi:
                 c[i:i * x + 1:i] += mi * row
     return ConvolutionCoefficients(x=x, kind=kind, coeffs=c)
-
-
-def _ensure_cache(cache: SequenceCache | None, need: int) -> SequenceCache:
-    if cache is not None and cache.limit >= need:
-        return cache
-    return SequenceCache(need)
 
 
 def _exact(value, lhs, rhs) -> Residual:
@@ -311,7 +305,7 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
     cache's shared ScaledSums when n is within its reach, else a table
     over lcm(1..n); a larger denominator changes no value, since every
     result is a normalised Fraction."""
-    cache = _ensure_cache(cache, n)
+    cache = _covering(cache, n)
     a = pair.values(cache.mu[:n + 1])
     if mode == "float":
         e = -float(s)
@@ -402,6 +396,7 @@ def _square(pair: _Pair, x: int, s: float, mode: str,
     """A_{x^2} = 2 A_x - sum_p c_p w(p) B_{floor(x^2/p)}, where c_p sums
     a(i)a(j) over the products ij = p with i, j <= x."""
     xx = x * x
+    cache = _covering(cache, xx)
     ps, cs = convolution_coeffs(x, pair.kind, cache).nonzero()
     ar = _arith(pair, xx, s, mode, cache)
     terms = cs * ar.weight(ps) * ar.B[xx // ps]
@@ -424,7 +419,7 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
     and takes `pair` and `s` for the common signature.
     """
     xx = x * x
-    cache = _ensure_cache(cache, xx)
+    cache = _covering(cache, xx)
     lhs = int(cache.mertens[xx])
     m_x = int(cache.mertens[x])
     sq = np.flatnonzero(cache.mu[1:x + 1]) + 1

@@ -21,7 +21,7 @@ import numpy as np
 from .arith import _mobius_range, primes_up_to
 from .config import RATIONAL_BOUND, check_capacity
 from .identities import Residual, verify_eq17, verify_eq18
-from .sequences import SequenceCache
+from .sequences import SequenceCache, _covering
 
 __all__ = [
     "BoundParams",
@@ -108,25 +108,22 @@ def mertens_square_table(x_max: int, mu_values=None,
         raise ValueError(f"x_max must be >= 3, got {x_max}")
     limit = x_max * x_max
     check_capacity(26 * segment_size + 16 * x_max, "segmented square table")
-    if mu_values is not None:
+    if mu_values is None:
+        primes = primes_up_to(x_max)
+    else:
         check_capacity(16 * limit, "injected mu table")
         mu = np.asarray(mu_values, dtype=np.int64)
         if len(mu) < limit:
             raise ValueError(
                 f"mu_values must cover 1..{limit}, got {len(mu)} entries")
-        mer = np.concatenate((np.zeros(1, dtype=np.int64),
-                              np.cumsum(mu[:limit], dtype=np.int64)))
-        m_small = mer[:x_max + 1].copy()
-        ys = np.arange(0, x_max + 1, dtype=np.int64)
-        return m_small, mer[ys * ys]
-    primes = primes_up_to(x_max)
     m_small = np.zeros(x_max + 1, dtype=np.int64)
     m_sq = np.zeros(x_max + 1, dtype=np.int64)
     base = 0
     for lo in range(1, limit + 1, segment_size):
         hi = min(lo + segment_size - 1, limit)
-        mu = _mobius_range(lo, hi, primes)
-        csum = np.cumsum(mu, dtype=np.int64)
+        segment = (_mobius_range(lo, hi, primes) if mu_values is None
+                   else mu[lo - 1:hi])
+        csum = np.cumsum(segment, dtype=np.int64)
         csum += base
         if lo <= x_max:
             top = min(hi, x_max)
@@ -165,8 +162,7 @@ def sup_mertens(x: int, cache: SequenceCache | None = None,
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     if curves is None:
-        if cache is None or cache.limit < x * x:
-            cache = SequenceCache(x * x)
+        cache = _covering(cache, x * x)
         ys = np.arange(0, x + 1, dtype=np.int64)
         curves = sup_curves(cache.mertens[:x + 1].copy(),
                             cache.mertens[ys * ys])
@@ -183,8 +179,7 @@ def minimal_constant(x: int, n: int, cache: SequenceCache | None = None) -> floa
         raise ValueError(f"x must be >= 3, got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if cache is None or cache.limit < x:
-        cache = SequenceCache(x)
+    cache = _covering(cache, x)
     sup_m = int(np.abs(cache.mertens[3:x + 1]).max())
     return sup_m / (sqrt(x) * log(x) ** n)
 
@@ -247,6 +242,16 @@ def induction_sweep(x_max: int, n: int = 1, grid: str = "default",
     """
     if grid not in ("all", "default"):
         raise ValueError(f"grid must be 'all' or 'default', got {grid!r}")
+    if x_max < 3:
+        raise ValueError(f"x_max must be >= 3, got {x_max}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    # The chain factor grows with x, so x_max bounds every row's.
+    try:
+        _chain_factor(x_max, n)
+    except OverflowError:
+        raise ValueError(f"n = {n} overflows the chain factor "
+                         f"2^n sqrt(x) (log x)^n at x = {x_max}") from None
     m_small, m_sq = mertens_square_table(x_max, mu_values=mu_values)
     curves = sup_curves(m_small, m_sq)
     xs = (list(range(3, x_max + 1)) if grid == "all"
@@ -270,8 +275,7 @@ def double_sum_cross_check(y: int, cache: SequenceCache | None = None,
     (y^2 m_y^2 minus the fractional double sum) is exact rational for
     y within the rational bound and float-checked beyond it.
     """
-    if cache is None or cache.limit < y * y:
-        cache = SequenceCache(y * y)
+    cache = _covering(cache, y * y)
     floor_form = verify_eq17(y, cache)
     frac_form = verify_eq18(y, "exact" if y <= RATIONAL_BOUND else "float",
                             cache, tolerance)

@@ -83,6 +83,12 @@ def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _mu_and_mertens(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu (int8) and the Mertens prefix (int64) at k = 0..n, slot 0 zero."""
+    mu = np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
+    return mu, np.cumsum(mu, dtype=np.int64)
+
+
 class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
@@ -93,6 +99,9 @@ class SequenceCache:
     lazy tables are built without a lock.  Arrays have length limit+1
     with slot 0 a zero pad, so table[k] is the value at k with no
     offset bookkeeping.
+
+    A function that takes `cache` uses it when it reaches the range the
+    call needs, and builds its own otherwise.
     """
 
     def __init__(self, limit: int):
@@ -100,12 +109,7 @@ class SequenceCache:
             raise ValueError(f"limit must be >= 1, got {limit}")
         check_capacity(20 * limit, "sequence cache")
         self.limit = limit
-        table = mobius_sieve(limit)
-        self.mu = np.concatenate((np.zeros(1, dtype=np.int8), table.values))
-        self.mertens = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum(self.mu[1:], dtype=np.int64),
-        ))
+        self.mu, self.mertens = _mu_and_mertens(limit)
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
         self._sublinear_memo: dict[int, int] = {}
@@ -146,6 +150,13 @@ class SequenceCache:
         return self._exact_sums
 
 
+def _covering(cache: SequenceCache | None, n: int) -> SequenceCache:
+    """`cache` when it reaches n, else a new SequenceCache(n)."""
+    if cache is not None and cache.limit >= n:
+        return cache
+    return SequenceCache(n)
+
+
 def mertens_value(x: int, cache: SequenceCache) -> int:
     """M_x from a prefix table; x must lie within the cache."""
     if not 1 <= x <= cache.limit:
@@ -164,13 +175,8 @@ _SUBLINEAR_MEMO: dict[int, int] = {}
 def _sublinear_base(limit: int) -> np.ndarray:
     if _SUBLINEAR_TABLE["limit"] < limit:
         check_capacity(10 * limit, "sublinear base table")
-        table = mobius_sieve(limit)
-        mer = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum(table.values, dtype=np.int64),
-        ))
         _SUBLINEAR_TABLE["limit"] = limit
-        _SUBLINEAR_TABLE["mertens"] = mer
+        _SUBLINEAR_TABLE["mertens"] = _mu_and_mertens(limit)[1]
         _SUBLINEAR_MEMO.clear()
     return _SUBLINEAR_TABLE["mertens"]
 
@@ -239,11 +245,19 @@ class OscillatoryValue:
     value: int | Fraction | float
 
 
-def _mu_upto(n: int, cache: SequenceCache | None) -> np.ndarray:
-    """Mobius values indexed 1..n with a zero pad at 0."""
-    if cache is not None and cache.limit >= n:
-        return cache.mu[:n + 1]
-    return np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
+def _check_mode(x: int, s: float, mode: str) -> None:
+    """Reject an (x, s, mode) that oscillatory and harmonic cannot serve."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if mode == "exact":
+        if s not in (0, 1):
+            raise ExactModeError(
+                f"exact mode requires s in {{0, 1}}, got s = {s}")
+        if s == 1 and x > RATIONAL_BOUND:
+            raise RationalBoundError(
+                f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
+    elif mode != "float":
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
 
 
 def oscillatory(x: int, s: float, mode: str = "float",
@@ -254,46 +268,23 @@ def oscillatory(x: int, s: float, mode: str = "float",
     bounded so denominators stay manageable); float mode supports any
     real s via exactly rounded summation.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    _check_mode(x, s, mode)
+    if mode == "exact" and s == 0:
+        return OscillatoryValue(x, 0.0, "exact", mertens_sublinear(x, cache))
+    cache = _covering(cache, x)
     if mode == "exact":
-        if s == 0:
-            if cache is not None and cache.limit >= x:
-                return OscillatoryValue(x, 0.0, "exact", mertens_value(x, cache))
-            return OscillatoryValue(x, 0.0, "exact", mertens_sublinear(x))
-        if s == 1:
-            if x > RATIONAL_BOUND:
-                raise RationalBoundError(
-                    f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
-            if cache is not None and cache.limit >= x:
-                return OscillatoryValue(x, 1.0, "exact",
-                                        cache.exact_sums().oscillatory(x))
-            sums = ScaledSums(x, mu=_mu_upto(x, None))
-            return OscillatoryValue(x, 1.0, "exact", sums.oscillatory(x))
-        raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
-    if mode != "float":
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    mu = _mu_upto(x, cache)[1:]
+        return OscillatoryValue(x, 1.0, "exact",
+                                cache.exact_sums().oscillatory(x))
     ks = np.arange(1, x + 1, dtype=np.float64)
-    terms = mu * ks ** (-float(s))
+    terms = cache.mu[1:x + 1] * ks ** (-float(s))
     return OscillatoryValue(x, float(s), "float", fsum(terms.tolist()))
 
 
 def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:
     """H_x(s) = sum_{k<=x} 1/k^s; H_x(0) = x exactly."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    _check_mode(x, s, mode)
     if mode == "exact":
-        if s == 0:
-            return x
-        if s == 1:
-            if x > RATIONAL_BOUND:
-                raise RationalBoundError(
-                    f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
-            return ScaledSums(x).harmonic(x)
-        raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
-    if mode != "float":
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+        return x if s == 0 else ScaledSums(x).harmonic(x)
     ks = np.arange(1, x + 1, dtype=np.float64)
     return fsum((ks ** (-float(s))).tolist())
 

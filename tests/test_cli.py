@@ -136,6 +136,30 @@ def test_exit_two_on_blank_or_repeated_points(points, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("option", [
+    "--tolerance=nan", "--tolerance=inf", "--tolerance=-0.5", "--s=nan",
+    "--s=inf",
+])
+def test_exit_two_on_bad_verify_number(option, capsys):
+    # Bad input is refused, not reported as a failed identity.
+    code, out, err = run_cli(["verify", "--id", "eq1", "--x-max", "3",
+                              "--mode", "float", option, "--no-timestamp"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert option.split("=")[0] in err
+
+
+@pytest.mark.parametrize("n, message", [
+    ("0", "n must be >= 1"),
+    ("2000", "n = 2000 overflows the chain factor"),
+])
+def test_exit_two_on_induction_n_out_of_range(n, message, capsys):
+    code, out, err = run_cli(["induction", "--x-max", "10", "--n", n,
+                              "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_exit_one_on_induction_violation(tmp_path, capsys):
     # Synthetic mu = +1 everywhere collapses the sqrt bound.
     mu_file = tmp_path / "mu.txt"

@@ -15,6 +15,7 @@ from mertenskit import (
     minimal_constant,
     sup_mertens,
 )
+from mertenskit import induction
 from mertenskit.induction import sup_curves
 
 
@@ -36,11 +37,14 @@ def test_square_table_matches_direct_sieve(cache_small):
     assert np.array_equal(m_sq, cache_small.mertens[ys * ys])
 
 
-def test_square_table_segment_size_invariance():
-    a_small, a_sq = mertens_square_table(60, segment_size=64)
-    b_small, b_sq = mertens_square_table(60, segment_size=10 ** 6)
-    assert np.array_equal(a_small, b_small)
-    assert np.array_equal(a_sq, b_sq)
+def test_square_table_segment_size_invariance(cache_small):
+    # Sieved segments and slices of an injected mu take the same loop.
+    for mu_values in (None, cache_small.mu[1:3601]):
+        a_small, a_sq = mertens_square_table(60, mu_values, segment_size=64)
+        b_small, b_sq = mertens_square_table(60, mu_values,
+                                             segment_size=10 ** 6)
+        assert np.array_equal(a_small, b_small)
+        assert np.array_equal(a_sq, b_sq)
 
 
 def test_square_table_injected_mu(cache_small):
@@ -143,6 +147,19 @@ def test_sweep_input_validation():
         induction_sweep(100, n=0)
     with pytest.raises(ValueError):
         induction_sweep(100, n=1, grid="sparse")
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be >= 1"),
+    (2000, "n = 2000 overflows the chain factor"),  # 2^n alone overflows
+])
+def test_sweep_rejects_n_before_sieving(n, message, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the range was sieved before n was checked")
+
+    monkeypatch.setattr(induction, "mertens_square_table", no_table)
+    with pytest.raises(ValueError, match=message):
+        induction_sweep(10, n=n)
 
 
 def test_double_sum_cross_check_exact(cache_square):

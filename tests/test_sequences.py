@@ -20,11 +20,15 @@ from mertenskit import (
     ExactModeError,
     RationalBoundError,
     SequenceCache,
+    double_sum_cross_check,
+    gamma_series,
     harmonic,
     harmonic_asymptotic,
     mertens_sublinear,
     mertens_value,
+    minimal_constant,
     oscillatory,
+    sup_mertens,
 )
 from mertenskit import sequences
 from mertenskit.exact import ScaledSums
@@ -33,6 +37,7 @@ from mertenskit.identities import (
     verify_eq2,
     verify_eq11,
     verify_eq12,
+    verify_eq15,
     verify_eq18,
 )
 from mertenskit.sequences import _compensated_cumsum
@@ -80,10 +85,10 @@ def test_sublinear_reuses_supplied_cache(cache_small):
     assert mertens_sublinear(5, cache_small) == -2
 
 
-def test_memo_entries_serve_either_sublinear_base_table(cache_square):
-    # 10^6 entries cover the base table at 10^9, so the first call recurses
-    # on the cache's table; its memo entries are true M(v) for the module's
-    # own table too.
+def test_sublinear_agrees_over_the_cache_and_the_module_table(cache_square):
+    # 10^6 entries cover the base table at 10^9, so the first and last
+    # calls recurse over the cache's table and memo, the second over the
+    # module's own base table and memo; each gives the published value.
     assert mertens_sublinear(10 ** 9, cache_square) == -222
     assert mertens_sublinear(10 ** 9) == -222
     assert mertens_sublinear(10 ** 9 + 1, cache_square) == -223  # mu = -1
@@ -259,6 +264,47 @@ def test_window_identities_share_one_exact_table(monkeypatch):
         Fraction(int(cache.mu[k]), k) for k in range(1, 201))
     assert h_150 == harmonic(150, 1, "exact") == sum(
         Fraction(1, k) for k in range(1, 151))
+
+
+_COVERED_CALLS = {
+    "gamma_series": lambda c: gamma_series(30, c),
+    "sup_mertens": lambda c: sup_mertens(30, c),
+    "minimal_constant": lambda c: minimal_constant(30, 1, c),
+    "double_sum_cross_check": lambda c: double_sum_cross_check(30, c),
+    "oscillatory-exact-s0": lambda c: oscillatory(30, 0, "exact", c),
+    "oscillatory-exact-s1": lambda c: oscillatory(30, 1, "exact", c),
+    "oscillatory-float": lambda c: oscillatory(30, 0.5, "float", c),
+    "verify_eq15": lambda c: verify_eq15(30, cache=c),
+}
+
+
+@pytest.mark.parametrize("call", _COVERED_CALLS.values(), ids=_COVERED_CALLS)
+def test_covering_cache_serves_the_call(call, cache_small, monkeypatch):
+    # cache_small reaches 30^2, so no call builds a SequenceCache of its own.
+    built = []
+    init = SequenceCache.__init__
+
+    def counting_init(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    monkeypatch.setattr(SequenceCache, "__init__", counting_init)
+    call(cache_small)
+    assert built == []
+
+
+def test_uncached_square_case_sieves_once(monkeypatch):
+    # The convolution and the tables of one square case share one cache.
+    sieved = []
+    sieve = sequences.mobius_sieve
+
+    def counting_sieve(n):
+        sieved.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(sequences, "mobius_sieve", counting_sieve)
+    assert verify_eq15(10).passed
+    assert sieved == [100]
 
 
 def test_cache_exact_prefixes(cache_small):
