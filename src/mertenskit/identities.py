@@ -461,20 +461,16 @@ class CatalogueEntry(NamedTuple):
     verify: Callable[..., Residual]  # (pair, x, s, mode, cache, tolerance[, j])
     pair: _Pair
     exact_bound: int                 # largest x run exact at s = 1
-    s0_bound: int                    # largest x run exact at s = 0
     reach: int                       # its tables index up to x ** reach
     x_cap: int | None = None         # largest x accepted in any mode
     s: float | None = None           # pinned exponent (None: the caller's)
     needs_j: bool = False            # takes the nested point j in [x, x^2]
 
 
-_CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, s0_bound=10 ** 9,
-                reach=1)
-_TAIL = dict(verify=_tail, exact_bound=TRIPLE_LOOP_EXACT_BOUND,
-             s0_bound=TRIPLE_LOOP_FLOAT_BOUND, reach=2,
+_CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, reach=1)
+_TAIL = dict(verify=_tail, exact_bound=TRIPLE_LOOP_EXACT_BOUND, reach=2,
              x_cap=TRIPLE_LOOP_FLOAT_BOUND)
-_SQUARE = dict(verify=_square, exact_bound=RATIONAL_SQUARE_BOUND,
-               s0_bound=10 ** 5, reach=2)
+_SQUARE = dict(verify=_square, exact_bound=RATIONAL_SQUARE_BOUND, reach=2)
 
 # In catalogue order, which is the order of Identity.
 CATALOGUE = {
@@ -492,7 +488,7 @@ CATALOGUE = {
     Identity.EQ17: CatalogueEntry(pair=_MU_ONE, s=0.0, **_SQUARE),
     Identity.EQ18: CatalogueEntry(
         verify=_fraction_form, pair=_MU_ONE, exact_bound=RATIONAL_BOUND,
-        s0_bound=RATIONAL_BOUND, reach=2, s=1.0),
+        reach=2, s=1.0),
 }
 
 
@@ -502,8 +498,9 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
     """Run one IdentityCase through its catalogue entry.
 
     Identities pinned at s = 0 are integer counting forms and always run
-    exact.  Otherwise "auto" runs exact when s is 0 or 1 and x is within
-    the entry's bound for that s, and "exact" outside those is an error.
+    exact.  Otherwise "auto" runs exact at s = 0, and at s = 1 when x is
+    within the entry's exact bound; "exact" at another s, or at s = 1
+    past that bound, is an error.
 
     `memo`, when given, maps each resolved case (verifier, pair, x, j,
     s, mode) to its Residual, so cases that resolve alike share one
@@ -515,12 +512,12 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
     if entry.s is not None:
         s = entry.s
         mode = "exact" if s == 0 else mode
-    bound = entry.s0_bound if s == 0 else entry.exact_bound
+    bound = entry.exact_bound
     if mode == "auto":
-        mode = "exact" if s in (0, 1) and x <= bound else "float"
+        mode = "exact" if s == 0 or (s == 1 and x <= bound) else "float"
     elif mode == "exact" and s not in (0, 1):
         raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
-    elif mode == "exact" and x > bound:
+    elif mode == "exact" and s == 1 and x > bound:
         raise RationalBoundError(
             f"exact mode at s = {s} limited to x <= {bound}, got x = {x}")
     if entry.x_cap is not None and x > entry.x_cap:

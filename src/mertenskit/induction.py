@@ -14,11 +14,11 @@ square identities tie to M_{y^2}.
 """
 
 from dataclasses import dataclass
-from math import isqrt, log, sqrt
+from math import isfinite, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import _mobius_range, primes_up_to
+from .arith import _SIEVE_BYTES, _mobius_range, primes_up_to
 from .config import RATIONAL_BOUND, check_capacity
 from .identities import Residual, verify_eq17, verify_eq18
 from .sequences import SequenceCache, _covering
@@ -107,7 +107,9 @@ def mertens_square_table(x_max: int, mu_values=None,
     if x_max < 3:
         raise ValueError(f"x_max must be >= 3, got {x_max}")
     limit = x_max * x_max
-    check_capacity(26 * segment_size + 16 * x_max, "segmented square table")
+    # The next segment is sieved while the last one's running sum lives.
+    check_capacity((_SIEVE_BYTES + 8) * segment_size + 16 * x_max,
+                   "segmented square table")
     if mu_values is None:
         primes = primes_up_to(x_max)
     else:
@@ -192,6 +194,8 @@ def _chain_factor(x: int, n: int) -> float:
     """
     direct = sqrt(float(x * x)) * log(float(x * x)) ** n
     chained = (2.0 ** n) * x * log(x) ** n
+    if not (isfinite(direct) and isfinite(chained)):
+        raise OverflowError(f"chain factor overflows at x={x}, n={n}")
     if abs(direct - chained) > 1e-12 * abs(direct):
         raise ArithmeticError(
             f"chain factor mismatch at x={x}, n={n}: {direct} vs {chained}")

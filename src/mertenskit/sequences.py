@@ -22,7 +22,7 @@ from math import fsum, isqrt, log
 
 import numpy as np
 
-from .arith import mobius_sieve
+from .arith import _SIEVE_BYTES, mobius_sieve
 from .config import RATIONAL_BOUND, check_capacity
 from .exact import ScaledSums
 
@@ -107,7 +107,7 @@ class SequenceCache:
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
-        check_capacity(20 * limit, "sequence cache")
+        check_capacity(_SIEVE_BYTES * limit, "sequence cache")
         self.limit = limit
         self.mu, self.mertens = _mu_and_mertens(limit)
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
@@ -174,7 +174,7 @@ _SUBLINEAR_MEMO: dict[int, int] = {}
 
 def _sublinear_base(limit: int) -> np.ndarray:
     if _SUBLINEAR_TABLE["limit"] < limit:
-        check_capacity(10 * limit, "sublinear base table")
+        check_capacity(_SIEVE_BYTES * limit, "sublinear base table")
         _SUBLINEAR_TABLE["limit"] = limit
         _SUBLINEAR_TABLE["mertens"] = _mu_and_mertens(limit)[1]
         _SUBLINEAR_MEMO.clear()

@@ -4,6 +4,7 @@ Frozen oracles: mu values checked by hand against the definition
 (squarefree sign by prime-factor count).
 """
 
+import tracemalloc
 from math import gcd, isqrt
 
 import numpy as np
@@ -12,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mertenskit import (
+    arith,
+    induction,
     mobius_segment,
     mobius_sieve,
     primes_up_to,
+    sequences,
 )
 
 # (k, mu(k)): 1 has no factors; 2,3,5,7 prime; 4=2^2, 8, 9, 12 squareful;
@@ -94,3 +98,30 @@ def test_mobius_table_indexing():
         seg[49]
     with pytest.raises(IndexError):
         seg[61]
+
+
+@pytest.mark.parametrize("module, call", [
+    (arith, lambda: mobius_sieve(10 ** 6)),
+    (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
+    (sequences, lambda: sequences._sublinear_base(10 ** 6)),
+    (sequences, lambda: sequences.SequenceCache(10 ** 6)),
+    # Four segments, so each is sieved beside the last one's running sum.
+    (induction, lambda: induction.mertens_square_table(
+        1000, segment_size=1 << 18)),
+], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
+        "square_table"])
+def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
+    # A request the budget accepts must not allocate more than it charged.
+    charged = []
+    monkeypatch.setattr(module, "check_capacity",
+                        lambda nbytes, what: charged.append(nbytes))
+    monkeypatch.setattr(sequences, "_SUBLINEAR_TABLE",
+                        {"limit": 0, "mertens": None})
+    monkeypatch.setattr(sequences, "_SUBLINEAR_MEMO", {})
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and charged[0] >= peak

@@ -81,6 +81,17 @@ def test_bench_is_not_a_command(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sieve"], ["mertens", "--x", "10"], ["gamma"], ["induction"],
+])
+def test_tolerance_is_refused_outside_verify(command, capsys):
+    # Only verify reads --tolerance, so every other command refuses it.
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tolerance", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 # --- exit codes ----------------------------------------------------------------
 
 def test_exit_zero_on_all_pass(capsys):
@@ -152,6 +163,7 @@ def test_exit_two_on_bad_verify_number(option, capsys):
 @pytest.mark.parametrize("n, message", [
     ("0", "n must be >= 1"),
     ("2000", "n = 2000 overflows the chain factor"),
+    ("464", "overflows"),
 ])
 def test_exit_two_on_induction_n_out_of_range(n, message, capsys):
     code, out, err = run_cli(["induction", "--x-max", "10", "--n", n,

@@ -152,6 +152,7 @@ def test_sweep_input_validation():
 @pytest.mark.parametrize("n, message", [
     (0, "n must be >= 1"),
     (2000, "n = 2000 overflows the chain factor"),  # 2^n alone overflows
+    (464, "n = 464 overflows the chain factor"),  # both sides reach inf
 ])
 def test_sweep_rejects_n_before_sieving(n, message, monkeypatch):
     def no_table(*args, **kwargs):
