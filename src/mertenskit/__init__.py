@@ -42,10 +42,8 @@ from .induction import (
     InductionRow,
     SupRecord,
     check_induction_step,
-    double_sum_cross_check,
     induction_sweep,
     mertens_square_table,
-    minimal_constant,
     sup_mertens,
 )
 from .sequences import (
@@ -55,9 +53,7 @@ from .sequences import (
     RationalBoundError,
     SequenceCache,
     harmonic,
-    harmonic_asymptotic,
     mertens_sublinear,
-    mertens_value,
     oscillatory,
 )
 

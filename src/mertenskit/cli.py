@@ -109,9 +109,12 @@ def _emit(args: argparse.Namespace, columns, rows, summary: dict) -> None:
 
 # --- verify ---------------------------------------------------------------
 
-def _verify_cases(args: argparse.Namespace) -> tuple[list[IdentityCase], int]:
-    """The requested cases, and how many eq3/eq13 cases the tail-sum cap
-    leaves out."""
+def _verify_cases(args: argparse.Namespace
+                  ) -> tuple[list[IdentityCase], int, SequenceCache]:
+    """The requested cases, how many eq3/eq13 cases the tail-sum cap
+    leaves out, and the cache that serves them all.  The cache is sized
+    from the range alone, so a range over the memory budget is refused
+    before any case is built."""
     known = {i.value for i in Identity}
     bad = [w for w in args.identities if w not in known]
     if bad:
@@ -122,20 +125,25 @@ def _verify_cases(args: argparse.Namespace) -> tuple[list[IdentityCase], int]:
             f"need 1 <= x-min <= x-max, got [{args.x_min}, {args.x_max}]")
     if args.step < 1:
         raise ValueError(f"step must be >= 1, got {args.step}")
-    xs = list(range(args.x_min, args.x_max + 1, args.step))
-    cases = []
-    skipped = 0
+    xs = range(args.x_min, args.x_max + 1, args.step)
+    runs = []  # (identity, entry, its xs up to its x_cap)
     for ident, entry in CATALOGUE.items():
-        if ident.value not in wanted:
-            continue
+        if ident.value in wanted:
+            top = min(args.x_max, entry.x_cap or args.x_max)
+            runs.append((ident, entry, range(args.x_min, top + 1, args.step)))
+    need = max((run[-1] ** entry.reach for _, entry, run in runs if run),
+               default=0)
+    if not need:
+        raise ValueError(f"no cases to run: {_TAIL_CAP}")
+    cache = SequenceCache(need)
+    cases = []
+    for ident, entry, run in runs:
         s = args.s if entry.s is None else entry.s
-        for x in xs:
-            if entry.x_cap is not None and x > entry.x_cap:
-                skipped += 1
-                continue
+        for x in run:
             js = sorted({x, (x + x * x) // 2, x * x}) if entry.needs_j else [None]
             cases += [IdentityCase(ident, x, j, s, args.mode) for j in js]
-    return cases, skipped
+    skipped = sum(len(xs) - len(run) for _, _, run in runs)
+    return cases, skipped, cache
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -144,11 +152,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if not isfinite(args.s):
         raise ValueError(f"--s must be finite, got {args.s}")
-    cases, skipped = _verify_cases(args)
-    if not cases:
-        raise ValueError(f"no cases to run: {_TAIL_CAP}")
-    need = max(c.x ** CATALOGUE[c.identity].reach for c in cases)
-    cache = SequenceCache(need)
+    cases, skipped, cache = _verify_cases(args)
     memo = {}
 
     def one(case: IdentityCase) -> dict:

@@ -39,7 +39,7 @@ def memory_budget() -> int:
         return _DEFAULT_MEMORY_BUDGET
     try:
         value = int(float(raw))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: inf, 1e400
         raise ValueError(
             f"{_ENV_BUDGET} must be a number of bytes, got {raw!r}") from exc
     if value <= 0:

@@ -39,30 +39,27 @@ class ScaledSums:
         harmonic_num[k]    = sum_{i<=k} w_i            -> H_k     = ./L
         oscillatory_num[k] = sum_{i<=k} mu_i * w_i     -> m-value = ./L
 
-    Each is a numpy object array of plain Python ints (they exceed 64
-    bits quickly), indexable by k or by an integer array of k.
+    where mu_i is mu[i], given at i = 0..n.  Each is a numpy object array
+    of plain Python ints (they exceed 64 bits quickly), indexable by k
+    or by an integer array of k.
     """
 
-    def __init__(self, n: int, mu: np.ndarray | None = None):
+    def __init__(self, n: int, mu: np.ndarray):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if len(mu) < n + 1:
+            raise ValueError("mu must cover indices 0..n")
         self.n = n
         self.denominator = L = lcm_upto(n)
         self.weights = np.empty(n + 1, dtype=object)
         self.weights[0] = 0
         self.weights[1:] = [L // k for k in range(1, n + 1)]
         self.harmonic_num = np.cumsum(self.weights)
-        self.oscillatory_num = None
-        if mu is not None:
-            if len(mu) < n + 1:
-                raise ValueError("mu must cover indices 0..n")
-            self.oscillatory_num = np.cumsum(
-                np.asarray(mu[:n + 1], dtype=object) * self.weights)
+        self.oscillatory_num = np.cumsum(
+            np.asarray(mu[:n + 1], dtype=object) * self.weights)
 
     def harmonic(self, k: int) -> Fraction:
         return Fraction(self.harmonic_num[k], self.denominator)
 
     def oscillatory(self, k: int) -> Fraction:
-        if self.oscillatory_num is None:
-            raise ValueError("no mu table was supplied at construction")
         return Fraction(self.oscillatory_num[k], self.denominator)

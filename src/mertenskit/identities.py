@@ -72,7 +72,6 @@ from .config import (
     TRIPLE_LOOP_FLOAT_BOUND,
     check_capacity,
 )
-from .exact import ScaledSums
 from .sequences import ExactModeError, RationalBoundError, SequenceCache, _covering
 
 __all__ = [
@@ -302,9 +301,9 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
            cache: SequenceCache | None) -> _Arith:
     """The arithmetic of `mode` ("exact" or "float") at s for tables to
     n, as the module docstring lists them.  Exact at s = 1 reads the
-    cache's shared ScaledSums when n is within its reach, else a table
-    over lcm(1..n); a larger denominator changes no value, since every
-    result is a normalised Fraction."""
+    cache's ScaledSums for n, over lcm(1..n) or a multiple of it; a
+    larger denominator changes no value, since every result is a
+    normalised Fraction."""
     cache = _covering(cache, n)
     a = pair.values(cache.mu[:n + 1])
     if mode == "float":
@@ -326,8 +325,7 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
         A, B = pair.ab(_Count(), cache.mertens)
         return _Arith(a, A, B, lambda k: 1, sum, lambda v, p: int(v), 1,
                       "exact")
-    ss = (cache.exact_sums() if n <= RATIONAL_BOUND
-          else ScaledSums(n, mu=cache.mu))
+    ss = cache.exact_sums(n)
     L = ss.denominator
     A, B = pair.ab(ss.harmonic_num, ss.oscillatory_num)
     return _Arith(a, A, B, ss.weights.__getitem__, sum,
@@ -427,7 +425,7 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
     prods = np.multiply.outer(sq, sq)
     q, r = np.divmod(xx, prods)
     if mode == "exact":
-        ss = cache.exact_sums()
+        ss = cache.exact_sums(x)
         L, w = ss.denominator, ss.weights[sq]
         a_num = ss.oscillatory_num[x]
         # x^2 <= RATIONAL_BOUND^2, so the floor total fits in int64; the
@@ -624,5 +622,10 @@ def verify_eq17(x: int, cache: SequenceCache | None = None) -> Residual:
 def verify_eq18(x: int, mode: str = "auto",
                 cache: SequenceCache | None = None,
                 tolerance: float | None = None) -> Residual:
-    """M_{x^2} = 2 M_x - x^2 m_x^2 + sum_{i,j<=x} mu(i)mu(j) frac(x^2/ij)."""
+    """M_{x^2} = 2 M_x - x^2 m_x^2 + sum_{i,j<=x} mu(i)mu(j) frac(x^2/ij).
+
+    An exact pass also certifies eq17's grouped route: a zero residual
+    and a zero floor/fraction bridge give M_{x^2} = 2 M_x minus the
+    pairwise floor sum, which is checked equal to eq17's grouped sum.
+    """
     return _run(Identity.EQ18, x, None, 1.0, mode, cache, tolerance)

@@ -7,10 +7,8 @@ For the bound family |M_y| <= C sqrt(y) (log y)^n the step from range
 
 because C sqrt(x^2) (log x^2)^n = C 2^n x (log x)^n chains the bound at
 x through to x^2.  This module computes both suprema from one sieve of
-mu up to x^2 (segmented, so x = 10^4 means 10^8 sieved values), reports
-the step ratio and the minimal admissible C over a sweep, and
-cross-checks the double sum sum mu(i)mu(j) floor(y^2/ij) that the
-square identities tie to M_{y^2}.
+mu up to x^2 (segmented, so x = 10^4 means 10^8 sieved values) and
+reports the step ratio and the minimal admissible C over a sweep.
 """
 
 from dataclasses import dataclass
@@ -19,8 +17,7 @@ from math import isfinite, isqrt, log, sqrt
 import numpy as np
 
 from .arith import _SIEVE_BYTES, _mobius_range, primes_up_to
-from .config import RATIONAL_BOUND, check_capacity
-from .identities import Residual, verify_eq17, verify_eq18
+from .config import check_capacity
 from .sequences import SequenceCache, _covering
 
 __all__ = [
@@ -29,10 +26,8 @@ __all__ = [
     "InductionRow",
     "SupRecord",
     "check_induction_step",
-    "double_sum_cross_check",
     "induction_sweep",
     "mertens_square_table",
-    "minimal_constant",
     "sup_mertens",
 ]
 
@@ -175,17 +170,6 @@ def sup_mertens(x: int, cache: SequenceCache | None = None,
                      sup_M_sq=int(sup_sq[x]), argmax_y_sq=int(arg_sq[x]))
 
 
-def minimal_constant(x: int, n: int, cache: SequenceCache | None = None) -> float:
-    """Smallest C with sup_{3<=y<=x} |M_y| <= C sqrt(x) (log x)^n."""
-    if x < 3:
-        raise ValueError(f"x must be >= 3, got {x}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cache = _covering(cache, x)
-    sup_m = int(np.abs(cache.mertens[3:x + 1]).max())
-    return sup_m / (sqrt(x) * log(x) ** n)
-
-
 def _chain_factor(x: int, n: int) -> float:
     """2^n sqrt(x), validated against the bound chained through x^2.
 
@@ -269,26 +253,3 @@ def induction_sweep(x_max: int, n: int = 1, grid: str = "default",
                            minimal_C=minimal_c, violations=violations,
                            params=params)
 
-
-def double_sum_cross_check(y: int, cache: SequenceCache | None = None,
-                           tolerance: float | None = None) -> Residual:
-    """Check sum_{i,j<=y} mu(i)mu(j) floor(y^2/ij) = 2 M_y - M_{y^2} and
-    its floor/fraction companion form in one record.
-
-    The floor form is certified with integers at any y; the companion
-    (y^2 m_y^2 minus the fractional double sum) is exact rational for
-    y within the rational bound and float-checked beyond it.
-    """
-    cache = _covering(cache, y * y)
-    floor_form = verify_eq17(y, cache)
-    frac_form = verify_eq18(y, "exact" if y <= RATIONAL_BOUND else "float",
-                            cache, tolerance)
-    lhs = int(cache.mertens[y * y])
-    rhs = floor_form.rhs
-    if frac_form.kind == "exact":
-        val = floor_form.exact_value or frac_form.exact_value
-        return Residual(kind="exact", lhs=lhs, rhs=rhs, exact_value=val)
-    val = (float(floor_form.exact_value) if floor_form.exact_value
-           else frac_form.float_value)
-    return Residual(kind="float", lhs=float(lhs), rhs=float(rhs),
-                    float_value=val, tolerance=frac_form.tolerance)

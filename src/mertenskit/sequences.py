@@ -18,7 +18,7 @@ integers (s = 0) or Fraction (s = 1, bounded input size).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, isqrt, log
+from math import fsum, isqrt
 
 import numpy as np
 
@@ -39,9 +39,7 @@ __all__ = [
     "RationalBoundError",
     "SequenceCache",
     "harmonic",
-    "harmonic_asymptotic",
     "mertens_sublinear",
-    "mertens_value",
     "oscillatory",
 ]
 
@@ -121,12 +119,7 @@ class SequenceCache:
             return got
         check_capacity(8 * (self.limit + 1), f"float {kind} prefix")
         k = np.arange(1, self.limit + 1, dtype=np.float64)
-        if s == 1.0:
-            powers = 1.0 / k
-        elif s == 0.0:
-            powers = np.ones_like(k)
-        else:
-            powers = k ** (-float(s))
+        powers = k ** -float(s)
         if kind == "oscillatory":
             powers *= self.mu[1:]
         out = _compensated_cumsum(powers)
@@ -141,12 +134,16 @@ class SequenceCache:
         """Prefix table of H_k(s) as float64, k = 0..limit."""
         return self._float_prefix("harmonic", s)
 
-    def exact_sums(self) -> ScaledSums:
-        """Scaled exact prefixes over 1..min(limit, RATIONAL_BOUND), built
-        once; one common denominator serves every x the table reaches."""
+    def exact_sums(self, n: int) -> ScaledSums:
+        """Scaled exact prefixes reaching n <= limit.  The kept table over
+        1..min(limit, RATIONAL_BOUND) is built once and serves every n it
+        reaches; a larger n gets a table over 1..n for this call only, so
+        later calls keep the smaller common denominator."""
+        keep = min(self.limit, RATIONAL_BOUND)
+        if n > keep:
+            return ScaledSums(n, self.mu)
         if self._exact_sums is None:
-            self._exact_sums = ScaledSums(min(self.limit, RATIONAL_BOUND),
-                                          mu=self.mu)
+            self._exact_sums = ScaledSums(keep, self.mu)
         return self._exact_sums
 
 
@@ -155,13 +152,6 @@ def _covering(cache: SequenceCache | None, n: int) -> SequenceCache:
     if cache is not None and cache.limit >= n:
         return cache
     return SequenceCache(n)
-
-
-def mertens_value(x: int, cache: SequenceCache) -> int:
-    """M_x from a prefix table; x must lie within the cache."""
-    if not 1 <= x <= cache.limit:
-        raise ValueError(f"x = {x} outside cached range 1..{cache.limit}")
-    return int(cache.mertens[x])
 
 
 # Grow-only base table for the sublinear evaluator, shared across calls
@@ -274,7 +264,7 @@ def oscillatory(x: int, s: float, mode: str = "float",
     cache = _covering(cache, x)
     if mode == "exact":
         return OscillatoryValue(x, 1.0, "exact",
-                                cache.exact_sums().oscillatory(x))
+                                cache.exact_sums(x).oscillatory(x))
     ks = np.arange(1, x + 1, dtype=np.float64)
     terms = cache.mu[1:x + 1] * ks ** (-float(s))
     return OscillatoryValue(x, float(s), "float", fsum(terms.tolist()))
@@ -284,13 +274,6 @@ def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:
     """H_x(s) = sum_{k<=x} 1/k^s; H_x(0) = x exactly."""
     _check_mode(x, s, mode)
     if mode == "exact":
-        return x if s == 0 else ScaledSums(x).harmonic(x)
+        return x if s == 0 else SequenceCache(x).exact_sums(x).harmonic(x)
     ks = np.arange(1, x + 1, dtype=np.float64)
     return fsum((ks ** (-float(s))).tolist())
-
-
-def harmonic_asymptotic(x: int) -> float:
-    """Leading asymptotic log(x) + gamma of H_x; error is O(1/x)."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    return log(x) + EULER_GAMMA

@@ -1,6 +1,7 @@
 """CLI behavior: schemas, exit codes, determinism, output formats."""
 
 import csv
+import hashlib
 import json
 import io
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
+from mertenskit import cli
 from mertenskit.cli import main
 
 
@@ -117,6 +119,27 @@ def test_exit_two_on_capacity(capsys, monkeypatch):
     code, _, err = run_cli(["verify", "--id", "eq7", "--x-min", "2",
                             "--x-max", "500", "--no-timestamp"], capsys)
     assert code == 2 and "capacity" in err
+
+
+def test_verify_refuses_an_oversized_range_before_building_cases(
+        capsys, monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case was built before the capacity check")
+
+    monkeypatch.setattr(cli, "IdentityCase", no_case)
+    code, out, err = run_cli(["verify", "--x-max", "100000",
+                              "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "capacity" in err and "sequence cache" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "abc", "-5", "inf", "1e400"])
+def test_exit_two_on_malformed_memory_budget(budget, capsys, monkeypatch):
+    monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", budget)
+    code, out, err = run_cli(["verify", "--id", "eq1", "--x-max", "4",
+                              "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "MERTENSKIT_MEMORY_BUDGET" in err
 
 
 def test_exit_two_on_bad_points(capsys):
@@ -321,3 +344,29 @@ def test_all_exact_verify_builds_no_float_table(monkeypatch, capsys):
                             "--x-max", "30", "--no-timestamp"], capsys)
     assert code == 0 and len(read_csv(out)) == 29
     assert built == []
+
+
+# --- golden reports ----------------------------------------------------------
+
+# sha256 of `--no-timestamp` reports of the commands other than verify
+# (whose goldens live in test_catalogue.py), computed before the second
+# evaluators of the induction constant and of the double sum were deleted
+# (x86-64 Linux, CPython 3.11, numpy 2.4).  Float cells go through the
+# platform's libm, so another platform may differ in a last digit.
+GOLDEN = {
+    ("gamma", "--format", "json"):
+        "20c58c6d297c7d6e87c587ca6945358150ccbae7087d8e4b53af1b2da1b90013",
+    ("induction", "--x-max", "300", "--grid", "all", "--format", "json"):
+        "d0d58472f121e8bb3956b94573077cab0e0c048fa4a42f7a81d7c4977b229f86",
+    ("sieve", "--lo", "999990", "--hi", "1000010"):
+        "40a2d917cfe38b1731c03dd9ecca14e774018b78f19770b665e378c075a6fc73",
+    ("mertens", "--x", "1000000000", "--format", "json"):
+        "00ca1a61ab616cdc9ee81cfaa10b7639d3fb6b4dd5b77ab5fd5bb63d58d07dd3",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
+def test_golden_reports(args, tmp_path):
+    target = tmp_path / "report"
+    assert main([*args, "--no-timestamp", "-o", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[args]

@@ -3,11 +3,16 @@
 from fractions import Fraction
 from math import lcm
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mertenskit import ScaledSums, lcm_upto, mobius_sieve
+
+
+def mu_upto(n: int) -> list[int]:
+    """mu at k = 0..n, slot 0 zero."""
+    table = mobius_sieve(n)
+    return [0] + [table[k] for k in range(1, n + 1)]
 
 
 def test_lcm_upto_small():
@@ -19,7 +24,7 @@ def test_lcm_upto_small():
 @given(st.integers(min_value=1, max_value=120))
 @settings(max_examples=40, deadline=None)
 def test_harmonic_numerators_match_fractions(n):
-    ss = ScaledSums(n)
+    ss = ScaledSums(n, mu_upto(n))
     direct = sum(Fraction(1, k) for k in range(1, n + 1))
     assert ss.harmonic(n) == direct
     # Every weight really is L/k with zero remainder.
@@ -29,20 +34,14 @@ def test_harmonic_numerators_match_fractions(n):
 @given(st.integers(min_value=1, max_value=120))
 @settings(max_examples=40, deadline=None)
 def test_oscillatory_numerators_match_fractions(n):
-    mu = [0] + [mobius_sieve(n)[k] for k in range(1, n + 1)]
-    ss = ScaledSums(n, mu=mu)
+    mu = mu_upto(n)
+    ss = ScaledSums(n, mu)
     direct = sum(Fraction(mu[k], k) for k in range(1, n + 1))
     assert ss.oscillatory(n) == direct
 
 
-def test_oscillatory_requires_mu():
-    ss = ScaledSums(5)
-    with pytest.raises(ValueError):
-        ss.oscillatory(3)
-
-
 def test_prefixes_are_running_sums():
-    ss = ScaledSums(30, mu=[0] + [mobius_sieve(30)[k] for k in range(1, 31)])
+    ss = ScaledSums(30, mu_upto(30))
     for k in range(1, 31):
         assert ss.harmonic_num[k] - ss.harmonic_num[k - 1] == ss.weights[k]
     assert ss.harmonic(4) == Fraction(25, 12)

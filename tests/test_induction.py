@@ -9,11 +9,11 @@ from mertenskit import (
     BoundParams,
     SequenceCache,
     check_induction_step,
-    double_sum_cross_check,
     induction_sweep,
     mertens_square_table,
-    minimal_constant,
     sup_mertens,
+    verify_eq17,
+    verify_eq18,
 )
 from mertenskit import induction
 from mertenskit.induction import sup_curves
@@ -83,13 +83,16 @@ def test_sup_curves_running_max_and_first_argmax(cache_small):
 def test_minimal_constant_oracle(cache_small):
     # sup over y in [3,3] is |M_3| = 1, so C = 1/(sqrt(3) log 3).
     expected = 1 / (sqrt(3) * log(3))
-    assert minimal_constant(3, 1, cache_small) == pytest.approx(expected)
-    assert minimal_constant(3, 2, cache_small) == pytest.approx(
-        expected / log(3))
+
+    def minimal_c(x, n):
+        return check_induction_step(x, n, cache=cache_small).minimal_C
+
+    assert minimal_c(3, 1) == pytest.approx(expected)
+    assert minimal_c(3, 2) == pytest.approx(expected / log(3))
     with pytest.raises(ValueError):
-        minimal_constant(2, 1, cache_small)
+        minimal_c(2, 1)
     with pytest.raises(ValueError):
-        minimal_constant(3, 0, cache_small)
+        minimal_c(3, 0)
 
 
 def test_step_oracle_x3(cache_small):
@@ -163,12 +166,17 @@ def test_sweep_rejects_n_before_sieving(n, message, monkeypatch):
         induction_sweep(10, n=n)
 
 
+# sum_{i,j<=y} mu(i)mu(j) floor(y^2/ij) = 2 M_y - M_{y^2} (eq17) and its
+# floor/fraction companion (eq18), which exact mode ties back to eq17.
 def test_double_sum_cross_check_exact(cache_square):
     for y in (3, 10, 60, 150):
-        r = double_sum_cross_check(y, cache_square)
-        assert r.kind == "exact" and r.exact_value == 0, y
+        for r in (verify_eq17(y, cache_square),
+                  verify_eq18(y, "exact", cache_square)):
+            assert r.kind == "exact" and r.exact_value == 0, y
 
 
 def test_double_sum_cross_check_float_fallback(cache_square):
-    r = double_sum_cross_check(400, cache_square)
+    floor_form = verify_eq17(400, cache_square)
+    assert floor_form.kind == "exact" and floor_form.exact_value == 0
+    r = verify_eq18(400, "float", cache_square)
     assert r.kind == "float" and r.passed

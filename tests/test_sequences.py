@@ -20,13 +20,10 @@ from mertenskit import (
     ExactModeError,
     RationalBoundError,
     SequenceCache,
-    double_sum_cross_check,
+    check_induction_step,
     gamma_series,
     harmonic,
-    harmonic_asymptotic,
     mertens_sublinear,
-    mertens_value,
-    minimal_constant,
     oscillatory,
     sup_mertens,
 )
@@ -48,15 +45,15 @@ MERTENS_POWERS = {10: -1, 100: 1, 1000: 2, 10 ** 4: -23, 10 ** 5: -48,
 
 
 def test_mertens_oracle_small(cache_small):
-    assert mertens_value(10, cache_small) == -1
-    assert mertens_value(9, cache_small) == -2
-    assert mertens_value(1, cache_small) == 1
-    assert mertens_value(2, cache_small) == 0
+    assert cache_small.mertens[10] == -1
+    assert cache_small.mertens[9] == -2
+    assert cache_small.mertens[1] == 1
+    assert cache_small.mertens[2] == 0
 
 
 def test_mertens_published_powers(cache_square):
     for x, expected in MERTENS_POWERS.items():
-        assert mertens_value(x, cache_square) == expected
+        assert cache_square.mertens[x] == expected
         assert mertens_sublinear(x) == expected
 
 
@@ -64,13 +61,6 @@ def test_mertens_sublinear_large_published():
     # OEIS A084237: M(10^9) and M(10^10).
     assert mertens_sublinear(10 ** 9) == -222
     assert mertens_sublinear(10 ** 10) == -33722
-
-
-def test_mertens_value_range_check(cache_small):
-    with pytest.raises(ValueError):
-        mertens_value(0, cache_small)
-    with pytest.raises(ValueError):
-        mertens_value(cache_small.limit + 1, cache_small)
 
 
 def test_sublinear_matches_sieve_randomized(cache_square):
@@ -162,13 +152,11 @@ def test_harmonic_asymptotic_error_shrinks():
     # H_x - (log x + gamma) ~ 1/(2x); check the 1/x envelope.
     errs = []
     for x in (10, 100, 1000):
-        err = abs(float(harmonic(x, 1)) - harmonic_asymptotic(x))
+        err = abs(float(harmonic(x, 1)) - (log(x) + EULER_GAMMA))
         assert err < 1.0 / x
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
     assert abs(float(harmonic(10, 1)) - (log(10) + EULER_GAMMA)) < 0.06
-    with pytest.raises(ValueError):
-        harmonic_asymptotic(1)
 
 
 def test_cache_prefix_tables_match_onepass(cache_small):
@@ -235,6 +223,19 @@ def test_compensated_cumsum_is_the_sequential_loop_bit_for_bit(terms):
                           _bits(_neumaier_loop(terms.tolist())))
 
 
+def test_prefix_tables_at_s_one_and_zero_are_reciprocals_and_ones():
+    # One pow serves every s: numpy's k ** -1.0 is 1.0 / k and k ** -0.0
+    # is 1.0, bit for bit, so the tables equal scans of those terms.
+    cache = SequenceCache(10 ** 5)
+    k = np.arange(1, cache.limit + 1, dtype=np.float64)
+    mu = cache.mu[1:]
+    for s, terms in ((1.0, 1.0 / k), (0.0, np.ones_like(k))):
+        assert np.array_equal(_bits(cache.harmonic_float(s)),
+                              _bits(_compensated_cumsum(terms)))
+        assert np.array_equal(_bits(cache.oscillatory_float(s)),
+                              _bits(_compensated_cumsum(terms * mu)))
+
+
 def test_compensated_cumsum_signed_zeros_and_extremes():
     terms = np.array([-0.0, -0.0, 1e300, -1e300, 5e-324, -0.0, 1.0, -1.0])
     assert np.array_equal(_bits(_compensated_cumsum(terms)),
@@ -257,7 +258,7 @@ def test_window_identities_share_one_exact_table(monkeypatch):
         for verify in (verify_eq2, verify_eq12):
             assert verify(x, x + 1, mode="exact", cache=cache).passed
     m_200 = oscillatory(200, 1, "exact", cache=cache).value
-    h_150 = cache.exact_sums().harmonic(150)
+    h_150 = cache.exact_sums(150).harmonic(150)
     assert len(built) == 1
     # Without a cache, oscillatory() and harmonic() build their own table.
     assert m_200 == oscillatory(200, 1, "exact").value == sum(
@@ -269,8 +270,8 @@ def test_window_identities_share_one_exact_table(monkeypatch):
 _COVERED_CALLS = {
     "gamma_series": lambda c: gamma_series(30, c),
     "sup_mertens": lambda c: sup_mertens(30, c),
-    "minimal_constant": lambda c: minimal_constant(30, 1, c),
-    "double_sum_cross_check": lambda c: double_sum_cross_check(30, c),
+    "check_induction_step": lambda c: check_induction_step(30, 1, cache=c),
+    "verify_eq18": lambda c: verify_eq18(30, cache=c),
     "oscillatory-exact-s0": lambda c: oscillatory(30, 0, "exact", c),
     "oscillatory-exact-s1": lambda c: oscillatory(30, 1, "exact", c),
     "oscillatory-float": lambda c: oscillatory(30, 0.5, "float", c),
@@ -308,7 +309,7 @@ def test_uncached_square_case_sieves_once(monkeypatch):
 
 
 def test_cache_exact_prefixes(cache_small):
-    assert cache_small.exact_sums().harmonic(10) == Fraction(7381, 2520)
+    assert cache_small.exact_sums(10).harmonic(10) == Fraction(7381, 2520)
     assert oscillatory(3, 1, "exact", cache=cache_small).value == Fraction(1, 6)
     with pytest.raises(RationalBoundError):
         oscillatory(201, 1, "exact", cache=cache_small)
@@ -332,5 +333,9 @@ def test_memory_budget_env_override(monkeypatch):
     from mertenskit.config import CapacityError
     with pytest.raises(CapacityError):
         SequenceCache(10 ** 6)
+    for raw in ("inf", "1e400"):  # not finite: malformed, not unbounded
+        monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", raw)
+        with pytest.raises(ValueError, match="must be a number of bytes"):
+            SequenceCache(10)
     monkeypatch.delenv("MERTENSKIT_MEMORY_BUDGET")
     SequenceCache(10)  # budget restored
