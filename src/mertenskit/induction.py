@@ -18,7 +18,6 @@ import numpy as np
 
 from .arith import _SIEVE_BYTES, _mobius_range, primes_up_to
 from .config import check_capacity
-from .sequences import SequenceCache, _covering
 
 __all__ = [
     "BoundParams",
@@ -153,16 +152,13 @@ def sup_curves(m_small: np.ndarray, m_sq: np.ndarray):
     return tuple(out)
 
 
-def sup_mertens(x: int, cache: SequenceCache | None = None,
-                curves=None) -> SupRecord:
-    """SupRecord at x, from precomputed curves or a cache covering x^2."""
+def sup_mertens(x: int, curves=None) -> SupRecord:
+    """SupRecord at x, from precomputed curves or, without them, from
+    mertens_square_table(x): the sweep's segmented sieve to x^2."""
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     if curves is None:
-        cache = _covering(cache, x * x)
-        ys = np.arange(0, x + 1, dtype=np.int64)
-        curves = sup_curves(cache.mertens[:x + 1].copy(),
-                            cache.mertens[ys * ys])
+        curves = sup_curves(*mertens_square_table(x))
     sup_m, arg_m, sup_sq, arg_sq = curves
     if x >= len(sup_m):
         raise ValueError(f"x = {x} beyond the computed range {len(sup_m) - 1}")
@@ -186,17 +182,17 @@ def _chain_factor(x: int, n: int) -> float:
     return (2.0 ** n) * sqrt(x)
 
 
-def check_induction_step(x: int, n: int = 1, curves=None,
-                         cache: SequenceCache | None = None) -> InductionRow:
+def check_induction_step(x: int, n: int = 1, curves=None) -> InductionRow:
     """One row of the step comparison at x.
 
     lhs = sup_{y<=x} |M_{y^2}| and rhs = 2^n sqrt(x) sup_{y<=x} |M_y|;
     the step holds when lhs <= rhs.  minimal_C is the smallest constant
-    making the y <= x bound tight at x.
+    making the y <= x bound tight at x.  The suprema come from `curves`
+    when given, else from sup_mertens(x).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rec = sup_mertens(x, cache=cache, curves=curves)
+    rec = sup_mertens(x, curves=curves)
     rhs = _chain_factor(x, n) * rec.sup_M
     ratio = rec.sup_M_sq / rhs
     min_c = rec.sup_M / (sqrt(x) * log(x) ** n)

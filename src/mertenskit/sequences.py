@@ -81,18 +81,12 @@ def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _mu_and_mertens(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu (int8) and the Mertens prefix (int64) at k = 0..n, slot 0 zero."""
-    mu = np.concatenate((np.zeros(1, dtype=np.int8), mobius_sieve(n).values))
-    return mu, np.cumsum(mu, dtype=np.int64)
-
-
 class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
-    Eager: mu (int8) and the integer Mertens prefix.  Everything else
+    Eager: mu (int8) and the Mertens prefix (int32).  Everything else
     (float prefix tables per exponent, the one exact ScaledSums table,
-    the memo of mertens_sublinear over this cache's table) is built on
+    the memo of mertens_sublinear over this cache's prefix) is built on
     first use and kept.  A cache is single-threaded: the
     lazy tables are built without a lock.  Arrays have length limit+1
     with slot 0 a zero pad, so table[k] is the value at k with no
@@ -107,7 +101,10 @@ class SequenceCache:
             raise ValueError(f"limit must be >= 1, got {limit}")
         check_capacity(_SIEVE_BYTES * limit, "sequence cache")
         self.limit = limit
-        self.mu, self.mertens = _mu_and_mertens(limit)
+        self.mu = np.concatenate((np.zeros(1, dtype=np.int8),
+                                  mobius_sieve(limit).values))
+        # |M(k)| < 0.6 sqrt(k) for k <= 10^16 (Hurst 2018), so int32 holds it.
+        self.mertens = np.cumsum(self.mu, dtype=np.int32)
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
         self._sublinear_memo: dict[int, int] = {}
@@ -154,21 +151,10 @@ def _covering(cache: SequenceCache | None, n: int) -> SequenceCache:
     return SequenceCache(n)
 
 
-# Grow-only base table for the sublinear evaluator, shared across calls
-# so repeated queries reuse both the sieve and the memoized recursion.
-# A recursion over a caller's SequenceCache memoizes into that cache
-# instead, so its entries go when the cache goes.
-_SUBLINEAR_TABLE: dict[str, object] = {"limit": 0, "mertens": None}
-_SUBLINEAR_MEMO: dict[int, int] = {}
-
-
-def _sublinear_base(limit: int) -> np.ndarray:
-    if _SUBLINEAR_TABLE["limit"] < limit:
-        check_capacity(_SIEVE_BYTES * limit, "sublinear base table")
-        _SUBLINEAR_TABLE["limit"] = limit
-        _SUBLINEAR_TABLE["mertens"] = _mu_and_mertens(limit)[1]
-        _SUBLINEAR_MEMO.clear()
-    return _SUBLINEAR_TABLE["mertens"]
+# Grow-only base of mertens_sublinear for queries no caller's cache
+# covers, shared across calls so they reuse its sieve and its memo.  A
+# query that needs a larger base replaces it, and the memo goes with it.
+_base_cache: SequenceCache | None = None
 
 
 def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
@@ -197,7 +183,7 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
     if q_max > 0:
         qs = np.arange(1, q_max + 1, dtype=np.int64)
         counts = v // qs - np.maximum(v // (qs + 1), d)
-        total += int(np.dot(counts, tab[qs]))
+        total += int(np.dot(counts, tab[1:q_max + 1]))
     result = 1 - total
     memo[v] = result
     return result
@@ -206,23 +192,22 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
 def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
     """M_x without sieving to x, via the divisor-sum recursion.
 
-    Runs on a base table of size ~x^(2/3) plus memoized recursion over
-    the quotient set of x; practical well past 10^8.  When `cache`
-    already covers the needed base range its tables are reused.
+    Runs on a base SequenceCache of size ~x^(2/3) plus memoized
+    recursion over the quotient set of x; practical well past 10^8.
+    The base is `cache` when it covers the needed range, else the
+    module's grow-only cache; either way the recursion memoizes into
+    that cache, so its entries go when the cache goes.
     """
+    global _base_cache
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    base_limit = max(1024, int(round(x ** (2.0 / 3.0))))
-    if cache is not None and cache.limit >= min(x, base_limit):
-        tab, tab_limit = cache.mertens, cache.limit
-        memo = cache._sublinear_memo
-    else:
-        tab = _sublinear_base(min(x, base_limit))
-        tab_limit = _SUBLINEAR_TABLE["limit"]
-        memo = _SUBLINEAR_MEMO
-    if x <= tab_limit:
-        return int(tab[x])
-    return _mertens_recurse(x, tab, tab_limit, memo)
+    need = min(x, max(1024, int(round(x ** (2.0 / 3.0)))))
+    if cache is None or cache.limit < need:
+        if _base_cache is None or _base_cache.limit < need:
+            _base_cache = SequenceCache(need)
+        cache = _base_cache
+    return _mertens_recurse(x, cache.mertens, cache.limit,
+                            cache._sublinear_memo)
 
 
 @dataclass(frozen=True)

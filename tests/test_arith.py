@@ -4,6 +4,7 @@ Frozen oracles: mu values checked by hand against the definition
 (squarefree sign by prime-factor count).
 """
 
+import os
 import tracemalloc
 from math import gcd, isqrt
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mertenskit import (
     arith,
+    cli,
     induction,
     mobius_segment,
     mobius_sieve,
@@ -100,24 +102,30 @@ def test_mobius_table_indexing():
         seg[61]
 
 
+def _sieve_report(fmt):
+    assert cli.main(["sieve", "--lo", "1", "--hi", "100000", "--format", fmt,
+                     "--no-timestamp", "-o", os.devnull]) == 0
+
+
 @pytest.mark.parametrize("module, call", [
     (arith, lambda: mobius_sieve(10 ** 6)),
     (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
-    (sequences, lambda: sequences._sublinear_base(10 ** 6)),
+    (sequences, lambda: sequences.mertens_sublinear(10 ** 9)),
     (sequences, lambda: sequences.SequenceCache(10 ** 6)),
     # Four segments, so each is sieved beside the last one's running sum.
     (induction, lambda: induction.mertens_square_table(
         1000, segment_size=1 << 18)),
+    # The whole command in each format: sieve, row dicts and report text.
+    (cli, lambda: _sieve_report("csv")),
+    (cli, lambda: _sieve_report("json")),
 ], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
-        "square_table"])
+        "square_table", "sieve_csv", "sieve_json"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []
     monkeypatch.setattr(module, "check_capacity",
                         lambda nbytes, what: charged.append(nbytes))
-    monkeypatch.setattr(sequences, "_SUBLINEAR_TABLE",
-                        {"limit": 0, "mertens": None})
-    monkeypatch.setattr(sequences, "_SUBLINEAR_MEMO", {})
+    monkeypatch.setattr(sequences, "_base_cache", None)
     tracemalloc.start()
     try:
         call()

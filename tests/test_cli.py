@@ -121,6 +121,20 @@ def test_exit_two_on_capacity(capsys, monkeypatch):
     assert code == 2 and "capacity" in err
 
 
+def test_sieve_report_is_charged_before_sieving(capsys, monkeypatch):
+    # The sieve itself fits 10^7 B; its 10^5 JSON rows do not.
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the window was sieved before the report "
+                             "was charged")
+
+    monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", "10000000")
+    monkeypatch.setattr(cli, "mobius_segment", no_sieve)
+    code, out, err = run_cli(["sieve", "--lo", "1", "--hi", "100000",
+                              "--format", "json", "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "capacity" in err
+
+
 def test_verify_refuses_an_oversized_range_before_building_cases(
         capsys, monkeypatch):
     def no_case(*args, **kwargs):

@@ -58,13 +58,25 @@ def test_square_table_injected_mu(cache_small):
         mertens_square_table(50, mu_values=true_mu[:100])  # too short
 
 
-def test_sup_mertens_oracle_x10(cache_small):
-    rec = sup_mertens(10, cache_small)
+def test_sup_mertens_oracle_x10():
+    rec = sup_mertens(10)
     # |M_y| first hits 2 at y=5; |M_{y^2}| first hits 4 at y=9 (M_81=-4).
     assert (rec.sup_M, rec.argmax_y) == (2, 5)
     assert (rec.sup_M_sq, rec.argmax_y_sq) == (4, 9)
     with pytest.raises(ValueError):
-        sup_mertens(2, cache_small)
+        sup_mertens(2)
+
+
+def test_sup_reaches_past_a_covering_cache(monkeypatch):
+    # One SequenceCache over 3200^2 would be charged 2.05e8 B; the
+    # segmented square table stays within this budget.
+    monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", "200000000")
+    rec = sup_mertens(3200)
+    assert (rec.sup_M, rec.argmax_y) == (25, 2803)
+    assert (rec.sup_M_sq, rec.argmax_y_sq) == (1212, 3193)
+    row = check_induction_step(3200)
+    assert (row.sup_M, row.argmax_y) == (25, 2803)
+    assert (row.sup_M_sq, row.argmax_y_sq) == (1212, 3193)
 
 
 def test_sup_curves_running_max_and_first_argmax(cache_small):
@@ -80,12 +92,12 @@ def test_sup_curves_running_max_and_first_argmax(cache_small):
     assert sup_m[3] == 1 and arg_m[3] == 3
 
 
-def test_minimal_constant_oracle(cache_small):
+def test_minimal_constant_oracle():
     # sup over y in [3,3] is |M_3| = 1, so C = 1/(sqrt(3) log 3).
     expected = 1 / (sqrt(3) * log(3))
 
     def minimal_c(x, n):
-        return check_induction_step(x, n, cache=cache_small).minimal_C
+        return check_induction_step(x, n).minimal_C
 
     assert minimal_c(3, 1) == pytest.approx(expected)
     assert minimal_c(3, 2) == pytest.approx(expected / log(3))
@@ -95,8 +107,8 @@ def test_minimal_constant_oracle(cache_small):
         minimal_c(3, 0)
 
 
-def test_step_oracle_x3(cache_small):
-    row = check_induction_step(3, 1, cache=cache_small)
+def test_step_oracle_x3():
+    row = check_induction_step(3, 1)
     assert row.lhs == 2                       # |M_9| = 2
     assert row.rhs == pytest.approx(2 * sqrt(3))
     assert row.ratio == pytest.approx(2 / (2 * sqrt(3)))
@@ -104,9 +116,9 @@ def test_step_oracle_x3(cache_small):
     assert row.minimal_C == pytest.approx(1 / (sqrt(3) * log(3)))
 
 
-def test_step_rhs_scales_with_n(cache_small):
-    r1 = check_induction_step(10, 1, cache=cache_small)
-    r3 = check_induction_step(10, 3, cache=cache_small)
+def test_step_rhs_scales_with_n():
+    r1 = check_induction_step(10, 1)
+    r3 = check_induction_step(10, 3)
     assert r3.rhs == pytest.approx(4 * r1.rhs)
     assert r1.sup_M == r3.sup_M
 

@@ -20,12 +20,10 @@ from mertenskit import (
     ExactModeError,
     RationalBoundError,
     SequenceCache,
-    check_induction_step,
     gamma_series,
     harmonic,
     mertens_sublinear,
     oscillatory,
-    sup_mertens,
 )
 from mertenskit import sequences
 from mertenskit.exact import ScaledSums
@@ -84,24 +82,43 @@ def test_sublinear_agrees_over_the_cache_and_the_module_table(cache_square):
     assert mertens_sublinear(10 ** 9 + 1, cache_square) == -223  # mu = -1
 
 
-def test_sublinear_memo_lives_with_the_callers_cache():
+def test_sublinear_memo_lives_with_the_callers_cache(monkeypatch):
     # Queries over a covering cache memoize into that cache, one entry per
-    # quotient x//n above its table, and leave the module's memo alone.
+    # quotient x//n above its table, and leave the module's cache alone.
     limit = 10 ** 5
     xs = range(10 ** 7, 10 ** 7 + 200)
-    module_memo = dict(sequences._SUBLINEAR_MEMO)
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    mertens_sublinear(xs[0])
+    base = sequences._base_cache
+    module_memo = dict(base._sublinear_memo)
     cache = SequenceCache(limit)
     values = [mertens_sublinear(x, cache) for x in xs]
     quotients = {x // n for x in xs for n in range(1, x // limit + 1)
                  if x // n > limit}
     assert len(cache._sublinear_memo) == len(quotients) == 1115
-    assert sequences._SUBLINEAR_MEMO == module_memo
+    assert sequences._base_cache is base
+    assert base._sublinear_memo == module_memo
     gone = weakref.ref(cache)
     del cache
     gc.collect()
     assert gone() is None
     assert values[0] == mertens_sublinear(xs[0])
     assert values[-1] == mertens_sublinear(xs[-1])
+
+
+def test_sublinear_base_is_one_grow_only_cache(monkeypatch):
+    # A query past the module's base replaces it with a larger cache, and
+    # the old cache, memo included, is freed.
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    assert mertens_sublinear(10 ** 9) == -222
+    old = weakref.ref(sequences._base_cache)
+    assert old().limit == 10 ** 6 and old()._sublinear_memo
+    assert mertens_sublinear(10 ** 10) == -33722
+    gc.collect()
+    assert old() is None
+    assert sequences._base_cache.limit == 4_641_589
+    assert mertens_sublinear(10 ** 9) == -222  # served by the larger base
+    assert sequences._base_cache.limit == 4_641_589
 
 
 def test_oscillatory_exact_oracles(cache_small):
@@ -269,8 +286,6 @@ def test_window_identities_share_one_exact_table(monkeypatch):
 
 _COVERED_CALLS = {
     "gamma_series": lambda c: gamma_series(30, c),
-    "sup_mertens": lambda c: sup_mertens(30, c),
-    "check_induction_step": lambda c: check_induction_step(30, 1, cache=c),
     "verify_eq18": lambda c: verify_eq18(30, cache=c),
     "oscillatory-exact-s0": lambda c: oscillatory(30, 0, "exact", c),
     "oscillatory-exact-s1": lambda c: oscillatory(30, 1, "exact", c),
@@ -320,6 +335,7 @@ def test_cache_mertens_is_mu_cumsum(cache_small):
     assert np.array_equal(cache_small.mertens[1:],
                           np.cumsum(mu, dtype=np.int64))
     assert cache_small.mertens[0] == 0
+    assert cache_small.mertens.dtype == np.int32
 
 
 def test_euler_gamma_literal():
