@@ -23,6 +23,10 @@ __all__ = [
 # product, an int64 k and a bool mask at once (18.9 B under tracemalloc).
 _SIEVE_BYTES = 20
 
+# Values per window of _mertens_segments, the one loop that turns mu
+# into running Mertens sums.
+_SEGMENT = 1 << 22
+
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending (int64)."""
@@ -60,17 +64,14 @@ class MobiusTable:
         return len(self.values)
 
 
-def _mobius_range(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """mu on [lo, hi] given every prime <= sqrt(hi); int8 array."""
+def _mobius_range(lo: int, hi: int) -> np.ndarray:
+    """mu on [lo, hi], 1 <= lo <= hi; int8 array."""
     length = hi - lo + 1
     mu = np.ones(length, dtype=np.int8)
     # Product of the distinct sieved primes dividing each k; any k whose
     # product falls short of k has exactly one extra prime factor > sqrt(hi).
     prod = np.ones(length, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
+    for p in primes_up_to(isqrt(hi)).tolist():
         start = -lo % p
         mu[start::p] *= -1
         prod[start::p] *= p
@@ -79,8 +80,6 @@ def _mobius_range(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         mu[start_sq::sq] = 0
     ks = np.arange(lo, hi + 1, dtype=np.int64)
     mu[prod != ks] *= -1
-    if lo == 0:
-        mu[0] = 0
     return mu
 
 
@@ -93,8 +92,7 @@ def mobius_sieve(n: int) -> MobiusTable:
     if n < 1:
         raise ValueError(f"sieve length must be >= 1, got {n}")
     check_capacity(_SIEVE_BYTES * n, f"mobius_sieve({n})")
-    primes = primes_up_to(isqrt(n))
-    return MobiusTable(lo=1, values=_mobius_range(1, n, primes))
+    return MobiusTable(lo=1, values=_mobius_range(1, n))
 
 
 def mobius_segment(lo: int, hi: int) -> MobiusTable:
@@ -107,5 +105,29 @@ def mobius_segment(lo: int, hi: int) -> MobiusTable:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     check_capacity(_SIEVE_BYTES * (hi - lo + 1) + 2 * isqrt(hi),
                    f"mobius_segment({lo}, {hi})")
-    primes = primes_up_to(isqrt(hi))
-    return MobiusTable(lo=lo, values=_mobius_range(lo, hi, primes))
+    return MobiusTable(lo=lo, values=_mobius_range(lo, hi))
+
+
+def _scan_bytes(n: int) -> int:
+    """Peak bytes of _mertens_segments over n values, beside what the
+    caller keeps: the next window is sieved while the last window's mu
+    (int8) and running sums (int64) are still referenced."""
+    return (_SIEVE_BYTES + 9) * min(n, _SEGMENT)
+
+
+def _mertens_segments(lo: int, hi: int, base: int = 0, mu=None):
+    """Windows (seg_lo, mu, running) covering [lo, hi] in order, each of
+    at most _SEGMENT values: mu on [seg_lo, seg_lo + len(mu) - 1] and
+    running = base + the sums of mu from lo on, as int64.
+
+    Each window's mu comes from mobius_segment, unless `mu` (mu at
+    lo..hi, an int array) is given; then its slices replace the sieve.
+    """
+    for seg_lo in range(lo, hi + 1, _SEGMENT):
+        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
+        seg_mu = (mobius_segment(seg_lo, seg_hi).values if mu is None
+                  else mu[seg_lo - lo:seg_hi - lo + 1])
+        running = np.cumsum(seg_mu, dtype=np.int64)
+        running += base
+        base = int(running[-1])
+        yield seg_lo, seg_mu, running

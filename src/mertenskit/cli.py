@@ -29,7 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .arith import mobius_segment
+from .arith import _mertens_segments
 from .config import (
     DEFAULT_TOLERANCE,
     TRIPLE_LOOP_FLOAT_BOUND,
@@ -240,13 +240,12 @@ def _run_sieve(args: argparse.Namespace) -> int:
         raise ValueError(f"need 1 <= lo <= hi, got [{args.lo}, {args.hi}]")
     check_capacity(_SIEVE_ROW_BYTES[args.format] * (args.hi - args.lo + 1),
                    f"sieve {args.format} report")
-    table = mobius_segment(args.lo, args.hi)
     base = 0 if args.lo == 1 else mertens_sublinear(args.lo - 1)
-    running = base + np.cumsum(table.values, dtype=np.int64)
-    rows = [{"k": k, "mu": int(table[k]), "mertens": int(running[k - args.lo])}
-            for k in range(args.lo, args.hi + 1)]
+    rows = [{"k": lo + j, "mu": int(m), "mertens": int(r)}
+            for lo, mu, running in _mertens_segments(args.lo, args.hi, base)
+            for j, (m, r) in enumerate(zip(mu, running))]
     summary = {"lo": args.lo, "hi": args.hi,
-               "mertens_at_hi": int(running[-1])}
+               "mertens_at_hi": rows[-1]["mertens"]}
     _emit(args, _SIEVE_COLUMNS, rows, summary)
     return 0
 

@@ -6,8 +6,8 @@ For the bound family |M_y| <= C sqrt(y) (log y)^n the step from range
     sup_{3<=y<=x^2} |M_y|  vs  2^n sqrt(x) sup_{3<=y<=x} |M_y|,
 
 because C sqrt(x^2) (log x^2)^n = C 2^n x (log x)^n chains the bound at
-x through to x^2.  This module computes both suprema from one sieve of
-mu up to x^2 (segmented, so x = 10^4 means 10^8 sieved values) and
+x through to x^2.  This module computes both suprema from one scan of
+the Mertens prefix up to x^2 (x = 10^4 means 10^8 sieved values) and
 reports the step ratio and the minimal admissible C over a sweep.
 """
 
@@ -16,7 +16,7 @@ from math import isfinite, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import _SIEVE_BYTES, _mobius_range, primes_up_to
+from .arith import _mertens_segments, _scan_bytes
 from .config import check_capacity
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "mertens_square_table",
     "sup_mertens",
 ]
-
-_SEGMENT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -88,25 +86,21 @@ class InductionReport:
     params: BoundParams
 
 
-def mertens_square_table(x_max: int, mu_values=None,
-                         segment_size: int = _SEGMENT):
+def mertens_square_table(x_max: int, mu_values=None):
     """Mertens prefix values at 1..x_max and at the squares y^2, y <= x_max.
 
     Returns (m_small, m_sq): int64 arrays indexed by k and by y, slot 0
-    zero.  The sieve runs in segments so only O(segment) memory is live
-    even though the range is x_max^2.  `mu_values` (mu at k = 1..x_max^2,
-    any int array-like) replaces the sieve when given; this is the hook
-    for synthetic-counterexample runs.
+    zero.  The prefix is scanned in windows, so only one window's memory
+    is live even though the range is x_max^2.  `mu_values` (mu at
+    k = 1..x_max^2, any int array-like) replaces the sieve when given;
+    this is the hook for synthetic-counterexample runs.
     """
     if x_max < 3:
         raise ValueError(f"x_max must be >= 3, got {x_max}")
     limit = x_max * x_max
-    # The next segment is sieved while the last one's running sum lives.
-    check_capacity((_SIEVE_BYTES + 8) * segment_size + 16 * x_max,
-                   "segmented square table")
-    if mu_values is None:
-        primes = primes_up_to(x_max)
-    else:
+    check_capacity(_scan_bytes(limit) + 16 * x_max, "segmented square table")
+    mu = None
+    if mu_values is not None:
         check_capacity(16 * limit, "injected mu table")
         mu = np.asarray(mu_values, dtype=np.int64)
         if len(mu) < limit:
@@ -114,22 +108,16 @@ def mertens_square_table(x_max: int, mu_values=None,
                 f"mu_values must cover 1..{limit}, got {len(mu)} entries")
     m_small = np.zeros(x_max + 1, dtype=np.int64)
     m_sq = np.zeros(x_max + 1, dtype=np.int64)
-    base = 0
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
-        segment = (_mobius_range(lo, hi, primes) if mu_values is None
-                   else mu[lo - 1:hi])
-        csum = np.cumsum(segment, dtype=np.int64)
-        csum += base
+    for lo, _, running in _mertens_segments(1, limit, mu=mu):
+        hi = lo + len(running) - 1
         if lo <= x_max:
             top = min(hi, x_max)
-            m_small[lo:top + 1] = csum[:top - lo + 1]
+            m_small[lo:top + 1] = running[:top - lo + 1]
         y_lo = isqrt(lo - 1) + 1
         y_hi = isqrt(hi)
         if y_lo <= y_hi:
             ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
-            m_sq[y_lo:y_hi + 1] = csum[ys * ys - lo]
-        base = int(csum[-1])
+            m_sq[y_lo:y_hi + 1] = running[ys * ys - lo]
     return m_small, m_sq
 
 

@@ -22,7 +22,7 @@ from math import fsum, isqrt
 
 import numpy as np
 
-from .arith import _SIEVE_BYTES, mobius_sieve
+from .arith import _mertens_segments, _scan_bytes
 from .config import RATIONAL_BOUND, check_capacity
 from .exact import ScaledSums
 
@@ -99,12 +99,14 @@ class SequenceCache:
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
-        check_capacity(_SIEVE_BYTES * limit, "sequence cache")
+        check_capacity(5 * (limit + 1) + _scan_bytes(limit), "sequence cache")
         self.limit = limit
-        self.mu = np.concatenate((np.zeros(1, dtype=np.int8),
-                                  mobius_sieve(limit).values))
+        self.mu = np.zeros(limit + 1, dtype=np.int8)
         # |M(k)| < 0.6 sqrt(k) for k <= 10^16 (Hurst 2018), so int32 holds it.
-        self.mertens = np.cumsum(self.mu, dtype=np.int32)
+        self.mertens = np.zeros(limit + 1, dtype=np.int32)
+        for lo, mu, running in _mertens_segments(1, limit):
+            self.mu[lo:lo + len(mu)] = mu
+            self.mertens[lo:lo + len(mu)] = running
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
         self._sublinear_memo: dict[int, int] = {}
@@ -178,11 +180,12 @@ def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
         args = args[~big]
     total += int(tab[args].sum())
     # Tail: group the i > d by the shared quotient q = v//i; the count
-    # of i in (d, v] with v//i == q is v//q - max(v//(q+1), d).
+    # of i in (d, v] with v//i == q is v//q - max(v//(q+1), d), and one
+    # division over q = 1..q_max+1 gives both quotients.
     q_max = v // (d + 1)
     if q_max > 0:
-        qs = np.arange(1, q_max + 1, dtype=np.int64)
-        counts = v // qs - np.maximum(v // (qs + 1), d)
+        t = v // np.arange(1, q_max + 2, dtype=np.int64)
+        counts = t[:-1] - np.maximum(t[1:], d)
         total += int(np.dot(counts, tab[1:q_max + 1]))
     result = 1 - total
     memo[v] = result
@@ -204,6 +207,7 @@ def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
     need = min(x, max(1024, int(round(x ** (2.0 / 3.0)))))
     if cache is None or cache.limit < need:
         if _base_cache is None or _base_cache.limit < need:
+            _base_cache = None  # free the old base before the new one is built
             _base_cache = SequenceCache(need)
         cache = _base_cache
     return _mertens_recurse(x, cache.mertens, cache.limit,

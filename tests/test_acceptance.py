@@ -35,6 +35,7 @@ from mertenskit import (
     verify_eq17,
     verify_eq18,
 )
+from mertenskit import arith
 from mertenskit.cli import main
 
 
@@ -206,7 +207,9 @@ def test_criterion_09_induction_sweep():
         assert row.lhs == sup_sq and row.sup_M == sup_m, x
         assert row.rhs == 2.0 * sqrt(x) * sup_m, x
         assert row.minimal_C == sup_m / (sqrt(x) * log(x)), x
-    m_small, m_sq = mertens_square_table(10 ** 4, segment_size=(1 << 20) + 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SEGMENT", (1 << 20) + 7)
+        m_small, m_sq = mertens_square_table(10 ** 4)
     top = by_x[10 ** 4]
     assert top.sup_M == int(np.abs(m_small[3:]).max())
     assert top.lhs == int(np.abs(m_sq[3:]).max())

@@ -107,19 +107,27 @@ def _sieve_report(fmt):
                      "--no-timestamp", "-o", os.devnull]) == 0
 
 
+def _in_segments(call):
+    # 2^18-value windows: a range of 10^6 values takes four, so each is
+    # sieved beside the last one's mu and running sums.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SEGMENT", 1 << 18)
+        call()
+
+
 @pytest.mark.parametrize("module, call", [
     (arith, lambda: mobius_sieve(10 ** 6)),
     (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
     (sequences, lambda: sequences.mertens_sublinear(10 ** 9)),
     (sequences, lambda: sequences.SequenceCache(10 ** 6)),
-    # Four segments, so each is sieved beside the last one's running sum.
-    (induction, lambda: induction.mertens_square_table(
-        1000, segment_size=1 << 18)),
+    (sequences, lambda: _in_segments(lambda: sequences.SequenceCache(10 ** 6))),
+    (induction, lambda: _in_segments(
+        lambda: induction.mertens_square_table(1000))),
     # The whole command in each format: sieve, row dicts and report text.
     (cli, lambda: _sieve_report("csv")),
     (cli, lambda: _sieve_report("json")),
 ], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
-        "square_table", "sieve_csv", "sieve_json"])
+        "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import cli
+from mertenskit import arith, cli
 from mertenskit.cli import main
 
 
@@ -65,6 +65,14 @@ def test_sieve_window_matches_library(capsys):
         k = int(row["k"])
         assert int(row["mu"]) == seg[k]
         assert int(row["mertens"]) == int(cache.mertens[k])
+
+
+def test_sieve_window_across_segments_is_unchanged(capsys, monkeypatch):
+    # Windows of 64 values split [100, 300] at 164, 228 and 292.
+    args = ["sieve", "--lo", "100", "--hi", "300", "--no-timestamp"]
+    whole = run_cli(args, capsys)
+    monkeypatch.setattr(arith, "_SEGMENT", 64)
+    assert run_cli(args, capsys) == whole
 
 
 def test_mertens_command(capsys):
@@ -128,7 +136,7 @@ def test_sieve_report_is_charged_before_sieving(capsys, monkeypatch):
                              "was charged")
 
     monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", "10000000")
-    monkeypatch.setattr(cli, "mobius_segment", no_sieve)
+    monkeypatch.setattr(arith, "mobius_segment", no_sieve)
     code, out, err = run_cli(["sieve", "--lo", "1", "--hi", "100000",
                               "--format", "json", "--no-timestamp"], capsys)
     assert code == 2 and out == ""

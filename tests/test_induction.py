@@ -15,7 +15,7 @@ from mertenskit import (
     verify_eq17,
     verify_eq18,
 )
-from mertenskit import induction
+from mertenskit import arith, induction
 from mertenskit.induction import sup_curves
 
 
@@ -29,20 +29,22 @@ def test_bound_params_validation():
         BoundParams(x0=3, C=0.5, n=0)
 
 
-def test_square_table_matches_direct_sieve(cache_small):
+def test_square_table_matches_direct_sieve(cache_small, monkeypatch):
     # Tiny segments force squares to straddle segment boundaries.
-    m_small, m_sq = mertens_square_table(80, segment_size=1000)
+    monkeypatch.setattr(arith, "_SEGMENT", 1000)
+    m_small, m_sq = mertens_square_table(80)
     ys = np.arange(0, 81, dtype=np.int64)
     assert np.array_equal(m_small, cache_small.mertens[:81])
     assert np.array_equal(m_sq, cache_small.mertens[ys * ys])
 
 
-def test_square_table_segment_size_invariance(cache_small):
+def test_square_table_segment_size_invariance(cache_small, monkeypatch):
     # Sieved segments and slices of an injected mu take the same loop.
     for mu_values in (None, cache_small.mu[1:3601]):
-        a_small, a_sq = mertens_square_table(60, mu_values, segment_size=64)
-        b_small, b_sq = mertens_square_table(60, mu_values,
-                                             segment_size=10 ** 6)
+        monkeypatch.setattr(arith, "_SEGMENT", 64)
+        a_small, a_sq = mertens_square_table(60, mu_values)
+        monkeypatch.setattr(arith, "_SEGMENT", 10 ** 6)
+        b_small, b_sq = mertens_square_table(60, mu_values)
         assert np.array_equal(a_small, b_small)
         assert np.array_equal(a_sq, b_sq)
 

@@ -6,6 +6,7 @@ else is checked against independent brute-force recomputation.
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import fsum, log
@@ -25,7 +26,7 @@ from mertenskit import (
     mertens_sublinear,
     oscillatory,
 )
-from mertenskit import sequences
+from mertenskit import arith, sequences
 from mertenskit.exact import ScaledSums
 from mertenskit.identities import (
     verify_eq1,
@@ -119,6 +120,31 @@ def test_sublinear_base_is_one_grow_only_cache(monkeypatch):
     assert sequences._base_cache.limit == 4_641_589
     assert mertens_sublinear(10 ** 9) == -222  # served by the larger base
     assert sequences._base_cache.limit == 4_641_589
+
+
+def test_sublinear_frees_the_old_base_before_building_the_next(monkeypatch):
+    # Traced from before M(10^9), so its 5·10^6 B base counts while it
+    # lives: the peak of M(10^10) must stay below that of its own base
+    # built alone plus a fifth of the old one.
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    tracemalloc.start()
+    try:
+        SequenceCache(4_641_589)
+        alone = tracemalloc.get_traced_memory()[1]
+        mertens_sublinear(10 ** 9)
+        tracemalloc.reset_peak()
+        assert mertens_sublinear(10 ** 10) == -33722
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sequences._base_cache.limit == 4_641_589
+    assert peak < alone + 10 ** 6
+
+
+def test_mertens_sublinear_pinned_at_1e11(monkeypatch):
+    # OEIS A084237: M(10^11), over a base of 2.15·10^7 values.
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    assert mertens_sublinear(10 ** 11) == -87856
 
 
 def test_oscillatory_exact_oracles(cache_small):
@@ -312,15 +338,25 @@ def test_covering_cache_serves_the_call(call, cache_small, monkeypatch):
 def test_uncached_square_case_sieves_once(monkeypatch):
     # The convolution and the tables of one square case share one cache.
     sieved = []
-    sieve = sequences.mobius_sieve
+    sieve = arith.mobius_segment
 
-    def counting_sieve(n):
-        sieved.append(n)
-        return sieve(n)
+    def counting_sieve(lo, hi):
+        sieved.append(hi - lo + 1)
+        return sieve(lo, hi)
 
-    monkeypatch.setattr(sequences, "mobius_sieve", counting_sieve)
+    monkeypatch.setattr(arith, "mobius_segment", counting_sieve)
     assert verify_eq15(10).passed
     assert sieved == [100]
+
+
+@pytest.mark.parametrize("limit", [1, 63, 64, 65, 1000])
+def test_cache_is_the_same_in_any_segments(limit, monkeypatch):
+    whole = SequenceCache(limit)
+    monkeypatch.setattr(arith, "_SEGMENT", 64)
+    pieces = SequenceCache(limit)
+    assert np.array_equal(pieces.mu, whole.mu)
+    assert np.array_equal(pieces.mertens, whole.mertens)
+    assert pieces.mertens.dtype == whole.mertens.dtype == np.int32
 
 
 def test_cache_exact_prefixes(cache_small):
