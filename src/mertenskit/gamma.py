@@ -3,17 +3,17 @@
 The double sum sum_{i,j<=x} m_{floor(x^2/ij)} / (ij), with m_v the
 truncated sum of mu(k)/k, collapses through the square identity to
 2 H_x - H_{x^2}, which converges to gamma like 1/x.  The estimator
-evaluates the double sum as written (grouped over products p = ij via
-convolution coefficients, summed with exactly rounded fsum), so the
-collapse is measured rather than assumed.
+evaluates the double sum as written, so the collapse is measured rather
+than assumed: grouped over the products p = ij with their multiplicities
+c_p, read from the cache's grow-only product state (a sweep over
+ascending x adds only the new shells), and summed exactly rounded by
+extraction passes and fsum, bit-identical to math.fsum of the terms.
 """
 
 from dataclasses import dataclass
-from math import fsum
 
 from .config import GAMMA_SERIES_CAP, CapacityError
-from .identities import convolution_coeffs
-from .sequences import EULER_GAMMA, SequenceCache, _covering
+from .sequences import EULER_GAMMA, SequenceCache, _covering, _exact_sum
 
 __all__ = ["GammaEstimate", "GammaStudy", "gamma_series",
            "gamma_convergence_study"]
@@ -58,9 +58,8 @@ def gamma_series(x: int, cache: SequenceCache | None = None) -> GammaEstimate:
     xx = x * x
     cache = _covering(cache, xx)
     m = cache.oscillatory_float(1.0)
-    ps, cs = convolution_coeffs(x, "plain", cache).nonzero()
-    terms = (cs / ps) * m[xx // ps]
-    estimate = fsum(terms.tolist())
+    ps, cs = cache._products(x, "plain")
+    estimate = _exact_sum((cs / ps) * m[xx // ps])
     abs_error = abs(estimate - EULER_GAMMA)
     return GammaEstimate(x=x, estimate=estimate, reference=EULER_GAMMA,
                          abs_error=abs_error, scaled_error=x * abs_error)

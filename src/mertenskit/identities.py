@@ -32,8 +32,9 @@ supply the weight, the tables A and B, the total and the reading of
 the result:
 
     float          w(k) = k^-s in float64, the float prefix tables at s,
-                   math.fsum (exactly rounded); a float residual is
-                   judged against a tolerance
+                   exactly rounded sums (extraction passes, then
+                   math.fsum: bit-identical to math.fsum of the terms);
+                   a float residual is judged against a tolerance
     exact, s = 0   w(k) = 1, H_k(0) = k and the integer Mertens table,
                    integer sums
     exact, s = 1   w(k) = L//k over L = lcm(1..n) (or a multiple), the
@@ -42,15 +43,20 @@ the result:
                    Fraction over L^p
 
 An exact residual is identically zero or the check fails.  The square
-shape groups its double sum through convolution coefficients c_p,
-shrinking x^2 terms to the number of products realized below x^2.
+shape groups its double sum by product p = ij with multiplicity c_p,
+shrinking x^2 terms to the number of products realized below x^2.  The
+(p, c_p) come from the cache's grow-only product state, so a sweep over
+ascending x adds only each new shell k; exact sums further group the
+products by quotient floor(x^2/p) before the big-integer products.
+convolution_coeffs builds the same c_p as a dense table, independently.
 eq18 takes floor and remainder of x^2/ij from one divmod per pair of
 squarefree i, j <= x, so its floor sum stays pairwise: an independent
 route from eq17's grouped sum, against which it is cross-checked.
 
 Cases that resolve alike (verifier, pair, x, j, s and mode) share one
 evaluation within a run through verify_case's memo: at s = 1 eq7 is
-eq5's case and eq16 is eq15's, and at s = 0 eq6 is eq5's.
+eq5's case and eq16 is eq15's, and at s = 0 eq6 is eq5's.  eq18's
+cross-check reads eq17's case from the same memo, or stores it there.
 
 CATALOGUE holds, per identity, its shape, pair, pinned exponent and
 mode bounds; the CLI reads the catalogue order and metadata from it.
@@ -59,7 +65,6 @@ mode bounds; the CLI reads the catalogue order and metadata from it.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import fsum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,7 +77,13 @@ from .config import (
     TRIPLE_LOOP_FLOAT_BOUND,
     check_capacity,
 )
-from .sequences import ExactModeError, RationalBoundError, SequenceCache, _covering
+from .sequences import (
+    ExactModeError,
+    RationalBoundError,
+    SequenceCache,
+    _covering,
+    _exact_sum,
+)
 
 __all__ = [
     "CATALOGUE",
@@ -196,7 +207,10 @@ class ConvolutionCoefficients:
 
 def convolution_coeffs(x: int, kind: str = "plain",
                        cache: SequenceCache | None = None) -> ConvolutionCoefficients:
-    """Build c_p for p <= x^2 by accumulating each row i at stride i."""
+    """Build c_p for p <= x^2 by accumulating each row i at stride i.
+
+    The verifiers read c_p from SequenceCache's product state instead;
+    this dense table is the independent reference for it."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if kind not in ("plain", "mobius"):
@@ -273,6 +287,12 @@ class _Lazy:
         return self.table(self.s)[k]
 
 
+def _int_sum(terms: np.ndarray) -> int:
+    """The sum of an integer array as a Python int.  Its entries are read
+    out as Python ints first: summing np.int64 scalars could wrap."""
+    return sum(terms.tolist())
+
+
 class _Arith(NamedTuple):
     """One arithmetic for the sums of a Dirichlet pair with tables to n.
 
@@ -286,7 +306,7 @@ class _Arith(NamedTuple):
     A: object            # prefix sums of a, indexed by k or an int array
     B: object            # prefix sums of the Dirichlet inverse of a
     weight: Callable     # w(k) = k^-s for an int k or an int array
-    total: Callable      # the sum of an iterable of terms
+    total: Callable      # the sum of a 1-D array of terms
     value: Callable      # (total, p) -> float, int or Fraction
     one: int | float     # the closure's right-hand side
     kind: str            # Residual kind: "exact" or "float"
@@ -319,16 +339,16 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
 
         A, B = pair.ab(_Lazy(cache.harmonic_float, s),
                        _Lazy(cache.oscillatory_float, s))
-        return _Arith(a, A, B, power, fsum, lambda v, p: float(v), 1.0,
-                      "float")
+        return _Arith(a, A, B, power, _exact_sum, lambda v, p: float(v),
+                      1.0, "float")
     if s == 0:
         A, B = pair.ab(_Count(), cache.mertens)
-        return _Arith(a, A, B, lambda k: 1, sum, lambda v, p: int(v), 1,
+        return _Arith(a, A, B, lambda k: 1, _int_sum, lambda v, p: int(v), 1,
                       "exact")
     ss = cache.exact_sums(n)
     L = ss.denominator
     A, B = pair.ab(ss.harmonic_num, ss.oscillatory_num)
-    return _Arith(a, A, B, ss.weights.__getitem__, sum,
+    return _Arith(a, A, B, ss.weights.__getitem__, _int_sum,
                   lambda v, p: Fraction(v, L ** p), 1, "exact")
 
 
@@ -346,7 +366,7 @@ def _closure(pair: _Pair, x: int, s: float, mode: str,
     ar = _arith(pair, x, s, mode, cache)
     i = np.arange(1, x + 1, dtype=np.int64)
     terms = ar.a[1:x + 1] * ar.weight(i) * ar.B[n // i]
-    lhs = ar.value(ar.total(terms.tolist()), 2)
+    lhs = ar.value(ar.total(terms), 2)
     return ar.residual(lhs - ar.one, lhs, ar.one, tolerance)
 
 
@@ -376,11 +396,13 @@ def _tail(pair: _Pair, x: int, s: float, mode: str,
         return ar.value(ar.total(values), 3)
 
     tail = terms(range(x + 1, xx + 1))
-    lhs = total(tail.ravel().tolist())
+    lhs = total(tail.ravel())
     rhs = ar.value(ar.A[xx] - ar.A[x], 1)
-    head_form = (ar.value(ar.A[x], 1)
-                 - total(terms(range(1, x + 1)).ravel().tolist()))
-    grouped = total(ar.total(col) for col in tail.T.tolist())
+    head_form = ar.value(ar.A[x], 1) - total(terms(range(1, x + 1)).ravel())
+    # Python ints stay an object array: np.array would turn large ones
+    # into floats.
+    grouped = total(np.array([ar.total(col) for col in tail.T],
+                             dtype=tail.dtype if ar.kind == "float" else object))
     res = ar.residual(lhs - rhs, lhs, rhs, tolerance)
     for other in (head_form, grouped):
         check = ar.residual(lhs - other, lhs, rhs, tolerance)
@@ -392,29 +414,45 @@ def _tail(pair: _Pair, x: int, s: float, mode: str,
 def _square(pair: _Pair, x: int, s: float, mode: str,
             cache: SequenceCache | None, tolerance: float | None) -> Residual:
     """A_{x^2} = 2 A_x - sum_p c_p w(p) B_{floor(x^2/p)}, where c_p sums
-    a(i)a(j) over the products ij = p with i, j <= x."""
+    a(i)a(j) over the products ij = p with i, j <= x.
+
+    (p, c_p) come from the cache's grow-only product state.  An exact
+    sum first adds c_p w(p) within each group of equal q = floor(x^2/p),
+    then multiplies each group total by B_q once, so about 2x big-integer
+    products replace one per product.  A float sum keeps one term per
+    product, as the reports pin those terms.
+    """
     xx = x * x
     cache = _covering(cache, xx)
-    ps, cs = convolution_coeffs(x, pair.kind, cache).nonzero()
+    ps, cs = cache._products(x, pair.kind)
     ar = _arith(pair, xx, s, mode, cache)
-    terms = cs * ar.weight(ps) * ar.B[xx // ps]
-    inner = ar.value(ar.total(terms.tolist()), 2)
+    qs = xx // ps
+    if ar.kind == "exact":
+        order = np.argsort(qs)
+        qs = qs[order]
+        starts = np.flatnonzero(np.diff(qs, prepend=-1))
+        groups = np.add.reduceat((cs * ar.weight(ps))[order], starts)
+        terms = groups * ar.B[qs[starts]]
+    else:
+        terms = cs * ar.weight(ps) * ar.B[qs]
+    inner = ar.value(ar.total(terms), 2)
     lhs = ar.value(ar.A[xx], 1)
     rhs = 2 * ar.value(ar.A[x], 1) - inner
     return ar.residual(lhs - rhs, lhs, rhs, tolerance)
 
 
 def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
-                   cache: SequenceCache | None,
-                   tolerance: float | None) -> Residual:
+                   cache: SequenceCache | None, tolerance: float | None,
+                   memo: dict | None = None) -> Residual:
     """eq18.  The floor/fraction split x^2/ij = floor + frac ties it to
     eq17: sum mu mu floor(x^2/ij) + sum mu mu frac(x^2/ij) = x^2 m_x^2,
     and the exact path certifies that bridge together with the identity
     itself.  Both modes take floor and remainder from one divmod per
     pair (i, j) of squarefree i, j <= x; exact mode then cross-checks
-    the pairwise floor total against the grouped eq17 route.  eq18
-    exists only for (mu, 1) at s = 1, so it reads mu, M and m_x directly
-    and takes `pair` and `s` for the common signature.
+    the pairwise floor total against the grouped eq17 route, read from
+    the run's `memo` when it holds eq17 at x, and stored there when it
+    does not.  eq18 exists only for (mu, 1) at s = 1, so it reads mu, M
+    and m_x directly and takes `pair` and `s` for the common signature.
     """
     xx = x * x
     cache = _covering(cache, xx)
@@ -439,14 +477,15 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
         val = Fraction(resid_num, L * L)
         if val == 0 and bridge != 0:
             val = Fraction(bridge, L * L)
-        grouped = _square(_MU_ONE, x, 0.0, "exact", cache, None)  # eq17
+        grouped = _verify(IdentityCase(Identity.EQ17, x, s=0.0), cache,
+                          tolerance, memo)
         if val == 0 and (2 * m_x - floor_sum) != grouped.rhs:
             val = Fraction((2 * m_x - floor_sum) - grouped.rhs)
         return _exact(val, lhs, rhs)
     m_f = float(cache.oscillatory_float(1.0)[x])
     mu_f = mu_sq.astype(np.float64)
     terms = np.multiply.outer(mu_f, mu_f) * r / prods
-    frac_sum = fsum(terms.ravel().tolist())
+    frac_sum = _exact_sum(terms.ravel())
     rhs = 2.0 * m_x - xx * m_f * m_f + frac_sum
     return _float(lhs - rhs, float(lhs), rhs, tolerance)
 
@@ -463,6 +502,7 @@ class CatalogueEntry(NamedTuple):
     x_cap: int | None = None         # largest x accepted in any mode
     s: float | None = None           # pinned exponent (None: the caller's)
     needs_j: bool = False            # takes the nested point j in [x, x^2]
+    reads_memo: bool = False         # takes the run's memo as `memo`
 
 
 _CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, reach=1)
@@ -486,7 +526,7 @@ CATALOGUE = {
     Identity.EQ17: CatalogueEntry(pair=_MU_ONE, s=0.0, **_SQUARE),
     Identity.EQ18: CatalogueEntry(
         verify=_fraction_form, pair=_MU_ONE, exact_bound=RATIONAL_BOUND,
-        reach=2, s=1.0),
+        reach=2, s=1.0, reads_memo=True),
 }
 
 
@@ -505,6 +545,14 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
     evaluation: eq7 reuses eq5 at s = 1, eq16 reuses eq15, and eq6
     reuses eq5 at s = 0.  A memo serves one cache and one tolerance.
     """
+    return _verify(case, cache, tolerance, memo)
+
+
+def _verify(case: IdentityCase, cache: SequenceCache | None,
+            tolerance: float | None, memo: dict | None) -> Residual:
+    """verify_case's body.  A verifier that needs another case (eq18
+    needs eq17) calls this, so verify_case is entered once per case
+    asked for."""
     entry = CATALOGUE[case.identity]
     x, s, mode = case.x, case.s, case.mode
     if entry.s is not None:
@@ -525,7 +573,9 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
     if memo is not None and key in memo:
         return memo[key]
     args = (entry.pair, x, s, mode, cache, tolerance)
-    res = entry.verify(*args, case.j) if entry.needs_j else entry.verify(*args)
+    args += (case.j,) if entry.needs_j else ()
+    res = (entry.verify(*args, memo=memo) if entry.reads_memo
+           else entry.verify(*args))
     if memo is not None:
         memo[key] = res
     return res

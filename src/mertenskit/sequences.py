@@ -9,16 +9,24 @@ Central objects, for a fixed truncation point x:
 s = 0 collapses to integer counting (H_x(0) = x), s = 1 is the main
 object of study (written m_x for M_x(1)).
 
-Float paths are reproducible by construction: one-shot sums use
-math.fsum (exactly rounded, hence order independent) and prefix tables
-use a Neumaier compensated running sum in ascending k, vectorised and
-bit-identical to the sequential loop.  Exact paths use
-integers (s = 0) or Fraction (s = 1, bounded input size).
+Float paths are reproducible by construction: one-shot sums are
+exactly rounded, hence order independent (_exact_sum: error-free
+extraction passes over the whole array, then math.fsum, bit-identical
+to math.fsum of the terms), and prefix tables use a Neumaier
+compensated running sum in ascending k, vectorised and bit-identical to
+the sequential loop.  Exact paths use integers (s = 0) or Fraction
+(s = 1, bounded input size).
+
+The square identities and the gamma series sum over the products
+p = ij <= x^2 of i, j <= x, weighted by c_p (the number of such pairs,
+or the sum of mu(i)mu(j) over them).  The cache keeps those (p, c_p)
+per kind in a grow-only state: raising x adds only the new shells k, so
+a sweep over ascending x builds each product once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, isqrt
+from math import frexp, fsum, isfinite, isqrt, ldexp
 
 import numpy as np
 
@@ -81,16 +89,126 @@ def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
+# Below this many terms _exact_sum hands them to fsum at once.
+_EXTRACT_MIN = 64
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The exactly rounded sum of a float64 array: fsum(terms.tolist())
+    bit for bit, from whole-array passes and no list of all the terms.
+
+    Each pass is the error-free extraction of Rump, Ogita and Oishi
+    ("Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+    31(1), 2008).  With 2^M >= n + 2 and 2^E > max|t|, every term t
+    splits against sigma = 2^(M + E) into q = (sigma + t) - sigma and
+    t - q, both exact.  The q are multiples of 2^-53 sigma, each at most
+    2^E in size, so every partial sum of them is below sigma and np.sum
+    adds them without rounding, in any order.  The nonzero remainders
+    go to the next pass.  The pass totals and the last remainders have
+    the input's exact sum, so fsum of them rounds as fsum of the input
+    does.  Non-finite input, and a sigma that would overflow or whose
+    grid 2^-53 sigma would be subnormal, leave the rest to fsum as is.
+    """
+    totals = []
+    while len(terms) >= _EXTRACT_MIN:
+        # A nan makes both extremes nan.
+        top = max(float(terms.max()), -float(terms.min()))
+        if not isfinite(top):
+            break
+        k = frexp(top)[1] + (len(terms) + 1).bit_length()
+        if not -1022 + 53 <= k <= 1023:
+            break
+        sigma = ldexp(1.0, k)
+        high = terms + sigma
+        high -= sigma
+        totals.append(float(np.sum(high)))
+        rest = np.subtract(terms, high, out=high)
+        terms = rest[rest != 0]
+    return fsum(totals + terms.tolist())
+
+
+class _SquareProducts:
+    """The distinct products p = ij of i, j <= x and their weights c_p,
+    grown shell by shell as x rises.
+
+    kind "plain":  c_p = #{(i, j) : ij = p};
+    kind "mobius": c_p = sum of mu(i)mu(j) over those pairs, so only
+    squarefree i and j enter.
+    Shell k adds k*j for each j < k that enters, twice, and k^2 once.
+    `counts` holds c_p at index p (its length may exceed x^2 + 1); `ps`
+    holds the products in the order first seen.
+
+    A count still 0 just before a shell adds to it marks a new product.
+    For the Mobius kind too: if i, j are squarefree and ij = p, then
+    g = gcd(i, j) is the product of the primes that appear squared in p,
+    so mu(i)mu(j) = mu(p/g^2) is the same for every such pair, and a
+    c_p once touched never returns to 0.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.x = 0
+        self.counts = np.zeros(1, dtype=np.int64)
+        self.ps = np.empty(0, dtype=np.int64)
+
+    def reach(self, x: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ps, cs) at x, with mu covering 1..x; an x below the one
+        reached rebuilds the state from zero."""
+        if x < self.x:
+            self.__init__(self.kind)
+        if x > self.x:
+            self._grow(x, mu)
+        return self.ps, self.counts[self.ps]
+
+    def _grow(self, x: int, mu: np.ndarray) -> None:
+        x0, old = self.x, self.counts
+        xx = x * x
+        # Products the new shells touch, at most (one per pair j <= k).
+        added = (x * (x + 1) - x0 * (x0 + 1)) // 2
+        # A step past the end at least doubles the count array, so a
+        # sweep over ascending x copies it O(log x) times.
+        size = max(xx + 1, 2 * len(old)) if len(old) <= xx else 0
+        # The grown and the old count array side by side, the old and
+        # the new products with their copy, and the caller's cs.
+        check_capacity(8 * (size + len(old)) + 24 * (len(self.ps) + added),
+                       f"square products to x = {x}")
+        if size:
+            self.counts = np.zeros(size, dtype=np.int64)
+            self.counts[:len(old)] = old
+        del old  # freed before the shells add their products
+        if self.kind == "plain":
+            ks = np.arange(1, x + 1, dtype=np.int64)
+            a = np.ones(x, dtype=np.int64)
+        else:
+            ks = np.flatnonzero(mu[1:x + 1]) + 1
+            a = mu[ks].astype(np.int64)
+        first = int(np.searchsorted(ks, x0, side="right"))
+        fresh = [self.ps]
+        fresh += [self._shell(ks, a, t) for t in range(first, len(ks))]
+        self.ps = np.concatenate(fresh)
+        self.x = x
+
+    def _shell(self, ks: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
+        """Add shell k = ks[t], the products k*j over j = ks[:t + 1]
+        weighted 2a(k)a(j), less 1 at k^2; return its new products."""
+        k, counts = int(ks[t]), self.counts
+        idx = k * ks[:t + 1]
+        new = idx[counts[idx] == 0]
+        counts[idx] += (2 * int(a[t])) * a[:t + 1]
+        counts[k * k] -= 1
+        return new
+
+
 class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
     Eager: mu (int8) and the Mertens prefix (int32).  Everything else
     (float prefix tables per exponent, the one exact ScaledSums table,
-    the memo of mertens_sublinear over this cache's prefix) is built on
-    first use and kept.  A cache is single-threaded: the
-    lazy tables are built without a lock.  Arrays have length limit+1
-    with slot 0 a zero pad, so table[k] is the value at k with no
-    offset bookkeeping.
+    the memo of mertens_sublinear over this cache's prefix, the square
+    products per kind) is built on first use and kept.  A cache is
+    single-threaded: the lazy tables are built without a lock.  Arrays
+    have length limit+1 with slot 0 a zero pad, so table[k] is the
+    value at k with no offset bookkeeping.
 
     A function that takes `cache` uses it when it reaches the range the
     call needs, and builds its own otherwise.
@@ -110,6 +228,14 @@ class SequenceCache:
         self._float_tables: dict[tuple[str, float], np.ndarray] = {}
         self._exact_sums: ScaledSums | None = None
         self._sublinear_memo: dict[int, int] = {}
+        self._square_products = {kind: _SquareProducts(kind)
+                                 for kind in ("plain", "mobius")}
+
+    def _products(self, x: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ps, cs): the distinct products p = ij of i, j <= x, x <= limit,
+        and their weights c_p of `kind` ("plain" or "mobius"), from the
+        kind's grow-only state."""
+        return self._square_products[kind].reach(x, self.mu)
 
     def _float_prefix(self, kind: str, s: float) -> np.ndarray:
         key = (kind, float(s))
@@ -256,7 +382,7 @@ def oscillatory(x: int, s: float, mode: str = "float",
                                 cache.exact_sums(x).oscillatory(x))
     ks = np.arange(1, x + 1, dtype=np.float64)
     terms = cache.mu[1:x + 1] * ks ** (-float(s))
-    return OscillatoryValue(x, float(s), "float", fsum(terms.tolist()))
+    return OscillatoryValue(x, float(s), "float", _exact_sum(terms))
 
 
 def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:
@@ -265,4 +391,4 @@ def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:
     if mode == "exact":
         return x if s == 0 else SequenceCache(x).exact_sums(x).harmonic(x)
     ks = np.arange(1, x + 1, dtype=np.float64)
-    return fsum((ks ** (-float(s))).tolist())
+    return _exact_sum(ks ** (-float(s)))

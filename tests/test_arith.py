@@ -115,6 +115,16 @@ def _in_segments(call):
         call()
 
 
+def _square_products_growth():
+    """A call that grows a plain product state from x = 700 to 800, so
+    its count array doubles.  The state reaches 700 here, before any
+    tracing; the traced call holds the doubled array while it copies
+    the old one in."""
+    state = sequences._SquareProducts("plain")
+    state.reach(700, None)
+    return lambda: state.reach(800, None)
+
+
 @pytest.mark.parametrize("module, call", [
     (arith, lambda: mobius_sieve(10 ** 6)),
     (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
@@ -126,8 +136,10 @@ def _in_segments(call):
     # The whole command in each format: sieve, row dicts and report text.
     (cli, lambda: _sieve_report("csv")),
     (cli, lambda: _sieve_report("json")),
+    (sequences, _square_products_growth()),
 ], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
-        "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json"])
+        "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json",
+        "square_products"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []

@@ -21,7 +21,7 @@ from mertenskit import (
     verify_eq1,
     verify_eq3,
 )
-from mertenskit import identities
+from mertenskit import identities, sequences
 from mertenskit.cli import main
 
 
@@ -186,22 +186,31 @@ def test_pinned_exponents_override_s(tmp_path):
 
 
 def test_verify_evaluates_each_square_case_once(tmp_path, monkeypatch):
-    # Per x, the plain coefficients serve eq5 at s = 1 (eq7 shares it)
-    # and eq6; the Mobius ones serve eq15 (eq16 shares it), eq17 and
-    # eq18's cross-check against eq17's grouped route.
-    calls = Counter()
-    build = identities.convolution_coeffs
+    # The plain products serve eq5 at s = 1 (eq7 shares it) and eq6; the
+    # Mobius ones serve eq15 (eq16 shares it) and eq17, and eq18's
+    # cross-check reads eq17 from the run's memo.  Each of those four
+    # sweeps x = 2..20 upward, and a second sweep of a kind starts below
+    # the x the first one reached, so it rebuilds: every shell k is
+    # added exactly twice, and no dense table is built.
+    shells = Counter()
+    add = sequences._SquareProducts._shell
 
-    def counting(x, kind="plain", cache=None):
-        calls[x, kind] += 1
-        return build(x, kind, cache)
+    def counting(self, ks, a, t):
+        shells[self.kind, int(ks[t])] += 1
+        return add(self, ks, a, t)
 
-    monkeypatch.setattr(identities, "convolution_coeffs", counting)
+    def dense(*args, **kwargs):
+        raise AssertionError("verify built a dense convolution table")
+
+    monkeypatch.setattr(sequences._SquareProducts, "_shell", counting)
+    monkeypatch.setattr(identities, "convolution_coeffs", dense)
     rows = verify_rows(["--x-max", "20"], tmp_path)
-    assert {r["identity"] for r in rows} >= {"eq5", "eq7", "eq15", "eq16"}
-    xs = range(2, 21)
-    assert calls == Counter({**{(x, "plain"): 2 for x in xs},
-                             **{(x, "mobius"): 3 for x in xs}})
+    assert {r["identity"] for r in rows} >= {"eq5", "eq6", "eq7", "eq15",
+                                             "eq16", "eq17", "eq18"}
+    ks = range(1, 21)
+    squarefree = [k for k in ks if k % 4 and k % 9]
+    assert shells == Counter({**{("plain", k): 2 for k in ks},
+                              **{("mobius", k): 2 for k in squarefree}})
 
 
 def test_counting_forms_stay_exact_in_float_mode(tmp_path):

@@ -340,6 +340,33 @@ def test_memo_shares_cases_that_resolve_alike(cache_small):
     assert run(Identity.EQ17, 10, 0.0) is not run(Identity.EQ6, 10, 0.0)
 
 
+def test_eq18_reads_and_stores_eq17_in_the_memo(cache_small):
+    # eq18's exact cross-check takes eq17's grouped case from the run's
+    # memo, and stores it there when the run has not evaluated eq17 yet.
+    def eq17(memo):
+        return verify_case(IdentityCase(Identity.EQ17, 30, s=0.0),
+                           cache_small, memo=memo)
+
+    def eq18(memo):
+        return verify_case(IdentityCase(Identity.EQ18, 30, mode="exact"),
+                           cache_small, memo=memo)
+
+    memo = {}
+    first = eq18(memo)
+    assert first.passed and len(memo) == 2
+    stored = eq17(memo)  # a hit: nothing is added
+    assert len(memo) == 2 and stored is not first
+    assert any(r is stored for r in memo.values())
+    # A wrong eq17 total in the memo must fail eq18's cross-check.
+    memo = {}
+    right = eq17(memo)
+    (key,) = memo
+    memo[key] = Residual(kind="exact", lhs=right.lhs, rhs=right.rhs + 1,
+                         exact_value=0)
+    assert not eq18(memo).passed
+    assert eq18({}).passed
+
+
 def test_dispatcher_covers_catalogue(cache_small):
     for ident in Identity:
         x = 6

@@ -9,7 +9,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from math import fsum, log
+from math import fsum, inf, ldexp, log, nan
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from mertenskit import (
 from mertenskit import arith, sequences
 from mertenskit.exact import ScaledSums
 from mertenskit.identities import (
+    convolution_coeffs,
     verify_eq1,
     verify_eq2,
     verify_eq11,
@@ -36,7 +37,7 @@ from mertenskit.identities import (
     verify_eq15,
     verify_eq18,
 )
-from mertenskit.sequences import _compensated_cumsum
+from mertenskit.sequences import _compensated_cumsum, _exact_sum
 
 # Published Mertens values M(10^k).
 MERTENS_POWERS = {10: -1, 100: 1, 1000: 2, 10 ** 4: -23, 10 ** 5: -48,
@@ -283,6 +284,104 @@ def test_compensated_cumsum_signed_zeros_and_extremes():
     terms = np.array([-0.0, -0.0, 1e300, -1e300, 5e-324, -0.0, 1.0, -1.0])
     assert np.array_equal(_bits(_compensated_cumsum(terms)),
                           _bits(_neumaier_loop(terms.tolist())))
+
+
+def _sum_outcome(total, terms):
+    """The bits of a sum, or the type of the error it raised."""
+    try:
+        return int(_bits([total(terms)])[0])
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _check_exact_sum(terms):
+    terms = np.asarray(terms, dtype=np.float64)
+    assert (_sum_outcome(_exact_sum, terms)
+            == _sum_outcome(lambda t: fsum(t.tolist()), terms))
+
+
+_SPECIALS = (0.0, -0.0, inf, -inf, nan, 1.7e308, -1.7e308, 8.9e307,
+             5e-324, -5e-324, 2.2e-308, 1e-310)
+
+
+@st.composite
+def _sum_inputs(draw):
+    """Vectors that cancel, with exponents spread over 2^-60..2^60 and
+    sizes on both sides of 64, or terms of one sign near their maximum,
+    some with special values mixed in."""
+    if draw(st.booleans()):
+        top = st.floats(0.5, 1.0, exclude_max=True)
+        terms = draw(st.lists(top, min_size=32, max_size=400))
+    else:
+        spread = st.builds(ldexp, st.floats(-1, 1), st.integers(-60, 60))
+        values = draw(st.lists(spread, max_size=120))
+        # Cancel the large part: each value followed by a near negation.
+        tiny = draw(st.lists(st.floats(-1e-12, 1e-12), min_size=len(values),
+                             max_size=len(values)))
+        terms = values + [e - v for v, e in zip(values, tiny)]
+    terms += draw(st.lists(st.sampled_from(_SPECIALS), max_size=3))
+    return draw(st.permutations(terms))
+
+
+@given(_sum_inputs())
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_bit_for_bit(terms):
+    _check_exact_sum(terms)
+
+
+_EDGE_SUMS = {
+    "empty": [],
+    "negative_zero": [-0.0],
+    "negative_zeros": [-0.0] * 100,
+    "signed_zeros": [0.0, -0.0] * 50,
+    "nan": [nan] * 70,
+    "inf": [inf] + [1.0] * 80,
+    "inf_minus_inf": [inf, -inf] + [1.0] * 80,
+    "overflow": [1.7e308] * 100,
+    "near_max_cancelling": [1.7e308, -1.7e308] * 40,
+    "near_max_in_range": [8.9e307, 8.9e307] + [-1.0] * 90,
+    "smallest_subnormal": [5e-324] * 100,
+    "subnormal_mixed": [2.2e-308, -1e-310] * 60,
+    "tiny_normal": [1e-300] * 100,
+    "absorbed_one": [ldexp(1.0, 53), 1.0, -ldexp(1.0, 53)] + [1.0] * 80,
+    # One sign near the maximum: the partial sums of the high parts come
+    # closest to sigma.
+    "one_sign": np.random.default_rng(13).uniform(0.5, 1.0, 5000).tolist(),
+}
+
+
+@pytest.mark.parametrize("terms", list(_EDGE_SUMS.values()), ids=list(_EDGE_SUMS))
+def test_exact_sum_edge_cases(terms):
+    _check_exact_sum(terms)
+
+
+def test_exact_sum_over_a_sweep_of_square_terms(cache_square):
+    # The terms of eq7 at three x: large, cancelling and non-contiguous.
+    h = cache_square.harmonic_float(1.0)
+    for x in (300, 700, 1000):
+        ps, cs = cache_square._products(x, "plain")
+        terms = cs / ps * h[x * x // ps] * np.where(ps % 2, 1.0, -1.0)
+        _check_exact_sum(terms)
+        _check_exact_sum(terms[::3])
+
+
+@pytest.mark.parametrize("xs", [
+    range(1, 41),                  # ascending
+    range(2, 41, 2),               # step 2
+    range(40, 0, -3),              # descending: each request rebuilds
+    (9, 19, 38, 12, 38, 1, 30),    # 375 -> 750 -> 1500 scaled down, then below
+    (30, *range(2, 31)),           # a second sweep from below, as eq6 after eq5
+    (150, 300),
+], ids=["ascending", "step2", "descending", "jumps", "resweep", "large"])
+@pytest.mark.parametrize("kind", ["plain", "mobius"])
+def test_square_products_are_the_dense_coefficients(kind, xs):
+    cache = SequenceCache(300 ** 2)
+    for x in xs:
+        ps, cs = cache._products(x, kind)
+        want_ps, want_cs = convolution_coeffs(x, kind, cache).nonzero()
+        assert len(np.unique(ps)) == len(ps), x
+        assert (dict(zip(ps.tolist(), cs.tolist()))
+                == dict(zip(want_ps.tolist(), want_cs.tolist()))), x
 
 
 def test_window_identities_share_one_exact_table(monkeypatch):
