@@ -116,10 +116,11 @@ def _emit(args: argparse.Namespace, columns, rows, summary: dict) -> None:
 
 def _verify_cases(args: argparse.Namespace
                   ) -> tuple[list[IdentityCase], int, SequenceCache]:
-    """The requested cases, how many eq3/eq13 cases the tail-sum cap
-    leaves out, and the cache that serves them all.  The cache is sized
-    from the range alone, so a range over the memory budget is refused
-    before any case is built."""
+    """The requested cases in catalogue order, how many eq3/eq13 cases
+    the tail-sum cap leaves out, and the cache that serves them all.
+    The cache is sized from the range alone, so a range over the memory
+    budget is refused before any case is built, and IdentityCase
+    refuses a case its entry cannot run before any case is evaluated."""
     known = {i.value for i in Identity}
     bad = [w for w in args.identities if w not in known]
     if bad:
@@ -167,7 +168,10 @@ def _run_verify(args: argparse.Namespace) -> int:
                 "s": case.s, "mode": res.kind, "lhs": res.lhs, "rhs": res.rhs,
                 "residual": res.value, "pass": res.passed}
 
-    rows = [one(case) for case in cases]
+    # In ascending x, so each product kind grows once; rows keep their order.
+    rows = [None] * len(cases)
+    for i in sorted(range(len(cases)), key=lambda i: cases[i].x):
+        rows[i] = one(cases[i])
     failures = [r for r in rows if not r["pass"]]
     summary = {"cases": len(rows), "failures": len(failures),
                "tolerance": args.tolerance,

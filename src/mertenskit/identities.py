@@ -50,13 +50,13 @@ ascending x adds only each new shell k; exact sums further group the
 products by quotient floor(x^2/p) before the big-integer products.
 convolution_coeffs builds the same c_p as a dense table, independently.
 eq18 takes floor and remainder of x^2/ij from one divmod per pair of
-squarefree i, j <= x, so its floor sum stays pairwise: an independent
-route from eq17's grouped sum, against which it is cross-checked.
+squarefree i, j <= x, and checks its pairwise floor sum equal to the
+sum eq17 groups, sum_p c_p floor(x^2/p) over the product state.
 
-Cases that resolve alike (verifier, pair, x, j, s and mode) share one
-evaluation within a run through verify_case's memo: at s = 1 eq7 is
-eq5's case and eq16 is eq15's, and at s = 0 eq6 is eq5's.  eq18's
-cross-check reads eq17's case from the same memo, or stores it there.
+IdentityCase refuses a case its entry cannot run; verify_case resolves
+"auto", and its memo lets cases that resolve alike (verifier, pair, x,
+j, s and mode) share one evaluation within a run: at s = 1 eq7 is eq5's
+case and eq16 is eq15's, and at s = 0 eq6 is eq5's.
 
 CATALOGUE holds, per identity, its shape, pair, pinned exponent and
 mode bounds; the CLI reads the catalogue order and metadata from it.
@@ -128,7 +128,7 @@ class Identity(Enum):
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One concrete check: an identity at a point, in a chosen mode."""
+    """One check of an identity at a point, in a mode its entry can run."""
 
     identity: Identity
     x: int
@@ -154,6 +154,16 @@ class IdentityCase:
         if entry.s is not None and float(self.s) != entry.s:
             raise ValueError(
                 f"{self.identity.value} is pinned at s = {entry.s}, got {self.s}")
+        s = self.s if entry.s is None else entry.s
+        if self.mode == "exact" and s not in (0, 1):
+            raise ExactModeError(
+                f"exact mode requires s in {{0, 1}}, got s = {s}")
+        if self.mode == "exact" and s == 1 and self.x > entry.exact_bound:
+            raise RationalBoundError(f"exact mode at s = {s} limited to x <= "
+                                     f"{entry.exact_bound}, got x = {self.x}")
+        if entry.x_cap is not None and self.x > entry.x_cap:
+            raise ValueError(f"{self.identity.value} is capped at x <= "
+                             f"{entry.x_cap} in every mode, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -442,17 +452,17 @@ def _square(pair: _Pair, x: int, s: float, mode: str,
 
 
 def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
-                   cache: SequenceCache | None, tolerance: float | None,
-                   memo: dict | None = None) -> Residual:
+                   cache: SequenceCache | None,
+                   tolerance: float | None) -> Residual:
     """eq18.  The floor/fraction split x^2/ij = floor + frac ties it to
     eq17: sum mu mu floor(x^2/ij) + sum mu mu frac(x^2/ij) = x^2 m_x^2,
     and the exact path certifies that bridge together with the identity
     itself.  Both modes take floor and remainder from one divmod per
-    pair (i, j) of squarefree i, j <= x; exact mode then cross-checks
-    the pairwise floor total against the grouped eq17 route, read from
-    the run's `memo` when it holds eq17 at x, and stored there when it
-    does not.  eq18 exists only for (mu, 1) at s = 1, so it reads mu, M
-    and m_x directly and takes `pair` and `s` for the common signature.
+    pair (i, j) of squarefree i, j <= x; exact mode then checks the
+    pairwise floor total equal to sum_p c_p floor(x^2/p) over the
+    cache's Mobius products, the sum eq17 groups by quotient.  eq18
+    exists only for (mu, 1) at s = 1, so it reads mu, M and m_x directly
+    and takes `pair` and `s` for the common signature.
     """
     xx = x * x
     cache = _covering(cache, xx)
@@ -477,10 +487,10 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
         val = Fraction(resid_num, L * L)
         if val == 0 and bridge != 0:
             val = Fraction(bridge, L * L)
-        grouped = _verify(IdentityCase(Identity.EQ17, x, s=0.0), cache,
-                          tolerance, memo)
-        if val == 0 and (2 * m_x - floor_sum) != grouped.rhs:
-            val = Fraction((2 * m_x - floor_sum) - grouped.rhs)
+        ps, cs = cache._products(x, "mobius")
+        by_product = int(np.dot(cs, xx // ps))
+        if val == 0 and floor_sum != by_product:
+            val = Fraction(by_product - floor_sum)
         return _exact(val, lhs, rhs)
     m_f = float(cache.oscillatory_float(1.0)[x])
     mu_f = mu_sq.astype(np.float64)
@@ -502,7 +512,6 @@ class CatalogueEntry(NamedTuple):
     x_cap: int | None = None         # largest x accepted in any mode
     s: float | None = None           # pinned exponent (None: the caller's)
     needs_j: bool = False            # takes the nested point j in [x, x^2]
-    reads_memo: bool = False         # takes the run's memo as `memo`
 
 
 _CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, reach=1)
@@ -526,7 +535,7 @@ CATALOGUE = {
     Identity.EQ17: CatalogueEntry(pair=_MU_ONE, s=0.0, **_SQUARE),
     Identity.EQ18: CatalogueEntry(
         verify=_fraction_form, pair=_MU_ONE, exact_bound=RATIONAL_BOUND,
-        reach=2, s=1.0, reads_memo=True),
+        reach=2, s=1.0),
 }
 
 
@@ -537,22 +546,14 @@ def verify_case(case: IdentityCase, cache: SequenceCache | None = None,
 
     Identities pinned at s = 0 are integer counting forms and always run
     exact.  Otherwise "auto" runs exact at s = 0, and at s = 1 when x is
-    within the entry's exact bound; "exact" at another s, or at s = 1
-    past that bound, is an error.
+    within the entry's exact bound, and float elsewhere.  IdentityCase
+    has refused the cases its entry cannot run.
 
     `memo`, when given, maps each resolved case (verifier, pair, x, j,
     s, mode) to its Residual, so cases that resolve alike share one
     evaluation: eq7 reuses eq5 at s = 1, eq16 reuses eq15, and eq6
     reuses eq5 at s = 0.  A memo serves one cache and one tolerance.
     """
-    return _verify(case, cache, tolerance, memo)
-
-
-def _verify(case: IdentityCase, cache: SequenceCache | None,
-            tolerance: float | None, memo: dict | None) -> Residual:
-    """verify_case's body.  A verifier that needs another case (eq18
-    needs eq17) calls this, so verify_case is entered once per case
-    asked for."""
     entry = CATALOGUE[case.identity]
     x, s, mode = case.x, case.s, case.mode
     if entry.s is not None:
@@ -561,21 +562,12 @@ def _verify(case: IdentityCase, cache: SequenceCache | None,
     bound = entry.exact_bound
     if mode == "auto":
         mode = "exact" if s == 0 or (s == 1 and x <= bound) else "float"
-    elif mode == "exact" and s not in (0, 1):
-        raise ExactModeError(f"exact mode requires s in {{0, 1}}, got s = {s}")
-    elif mode == "exact" and s == 1 and x > bound:
-        raise RationalBoundError(
-            f"exact mode at s = {s} limited to x <= {bound}, got x = {x}")
-    if entry.x_cap is not None and x > entry.x_cap:
-        raise ValueError(f"{case.identity.value} is capped at x <= "
-                         f"{entry.x_cap} in every mode, got {x}")
     key = (entry.verify, entry.pair, x, case.j, s, mode)
     if memo is not None and key in memo:
         return memo[key]
     args = (entry.pair, x, s, mode, cache, tolerance)
     args += (case.j,) if entry.needs_j else ()
-    res = (entry.verify(*args, memo=memo) if entry.reads_memo
-           else entry.verify(*args))
+    res = entry.verify(*args)
     if memo is not None:
         memo[key] = res
     return res
@@ -674,8 +666,8 @@ def verify_eq18(x: int, mode: str = "auto",
                 tolerance: float | None = None) -> Residual:
     """M_{x^2} = 2 M_x - x^2 m_x^2 + sum_{i,j<=x} mu(i)mu(j) frac(x^2/ij).
 
-    An exact pass also certifies eq17's grouped route: a zero residual
-    and a zero floor/fraction bridge give M_{x^2} = 2 M_x minus the
-    pairwise floor sum, which is checked equal to eq17's grouped sum.
+    An exact pass also checks the pairwise floor total equal to
+    sum_p c_p floor(x^2/p) over the cache's Mobius products, the sum
+    eq17 groups by quotient (eq17's zero residual certifies that).
     """
     return _run(Identity.EQ18, x, None, 1.0, mode, cache, tolerance)

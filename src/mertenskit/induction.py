@@ -1,14 +1,16 @@
 """Empirical induction step for square-root bounds on Mertens sums.
 
-For the bound family |M_y| <= C sqrt(y) (log y)^n the step from range
-[3, x] to [3, x^2] rests on the numeric comparison
+For the bound family |M_y| <= C sqrt(y) (log y)^n, the identity
+C sqrt(x^2) (log x^2)^n = C 2^n x (log x)^n chains the bound at x
+through to x^2.  At each x this module compares
 
-    sup_{3<=y<=x^2} |M_y|  vs  2^n sqrt(x) sup_{3<=y<=x} |M_y|,
+    sup_{3<=y<=x} |M_{y^2}|  vs  2^n sqrt(x) sup_{3<=y<=x} |M_y|:
 
-because C sqrt(x^2) (log x^2)^n = C 2^n x (log x)^n chains the bound at
-x through to x^2.  This module computes both suprema from one scan of
-the Mertens prefix up to x^2 (x = 10^4 means 10^8 sieved values) and
-reports the step ratio and the minimal admissible C over a sweep.
+the left side is the sup over [3, x^2] at the squares only.  Both come
+from one scan of the Mertens prefix up to x^2 (x = 10^4: 10^8 sieved
+values); a sweep reports the step ratio and the minimal admissible C.
+Chaining the bound to all of [3, x^2] needs the sup over the whole
+range, which is not computed here.
 """
 
 from dataclasses import dataclass

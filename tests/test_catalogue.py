@@ -21,7 +21,7 @@ from mertenskit import (
     verify_eq1,
     verify_eq3,
 )
-from mertenskit import identities, sequences
+from mertenskit import cli, identities, sequences
 from mertenskit.cli import main
 
 
@@ -187,11 +187,10 @@ def test_pinned_exponents_override_s(tmp_path):
 
 def test_verify_evaluates_each_square_case_once(tmp_path, monkeypatch):
     # The plain products serve eq5 at s = 1 (eq7 shares it) and eq6; the
-    # Mobius ones serve eq15 (eq16 shares it) and eq17, and eq18's
-    # cross-check reads eq17 from the run's memo.  Each of those four
-    # sweeps x = 2..20 upward, and a second sweep of a kind starts below
-    # the x the first one reached, so it rebuilds: every shell k is
-    # added exactly twice, and no dense table is built.
+    # Mobius ones serve eq15 (eq16 shares it), eq17 and eq18's
+    # cross-check.  The run evaluates its cases in ascending x, so each
+    # kind sweeps x = 2..20 once: every shell k is added exactly once,
+    # and no dense table is built.
     shells = Counter()
     add = sequences._SquareProducts._shell
 
@@ -209,8 +208,32 @@ def test_verify_evaluates_each_square_case_once(tmp_path, monkeypatch):
                                              "eq16", "eq17", "eq18"}
     ks = range(1, 21)
     squarefree = [k for k in ks if k % 4 and k % 9]
-    assert shells == Counter({**{("plain", k): 2 for k in ks},
-                              **{("mobius", k): 2 for k in squarefree}})
+    assert shells == Counter({**{("plain", k): 1 for k in ks},
+                              **{("mobius", k): 1 for k in squarefree}})
+
+
+@pytest.mark.parametrize("options", [[], ["--mode", "float", "--s", "0.5"]],
+                         ids=["defaults", "float-0.5"])
+def test_verify_rows_equal_each_case_run_alone(options, tmp_path):
+    # A run shares one cache, one memo and an x-by-x order across its
+    # cases; each row must still be the case evaluated on its own fresh
+    # cache with no memo, cell for cell.
+    rows = verify_rows(["--x-max", "22", "--step", "5", *options], tmp_path)
+    s, mode = (0.5, "float") if options else (1.0, "auto")
+    alone = []
+    for ident, entry in identities.CATALOGUE.items():
+        for x in range(2, 23, 5):
+            js = sorted({x, (x + x * x) // 2, x * x}) if entry.needs_j else [None]
+            for j in js:
+                case = IdentityCase(ident, x, j,
+                                    s if entry.s is None else entry.s, mode)
+                res = verify_case(case, SequenceCache(x ** entry.reach))
+                alone.append({"identity": ident.value, "x": x, "j": j,
+                              "s": case.s, "mode": res.kind, "lhs": res.lhs,
+                              "rhs": res.rhs, "residual": res.value,
+                              "pass": res.passed})
+    assert rows == [{k: cli._json_cell(v) for k, v in r.items()}
+                    for r in alone]
 
 
 def test_counting_forms_stay_exact_in_float_mode(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import arith, cli
+from mertenskit import arith, cli, identities
 from mertenskit.cli import main
 
 
@@ -153,6 +153,23 @@ def test_verify_refuses_an_oversized_range_before_building_cases(
                               "--no-timestamp"], capsys)
     assert code == 2 and out == ""
     assert "capacity" in err and "sequence cache" in err
+
+
+def test_verify_refuses_a_bad_range_before_any_case_runs(capsys,
+                                                        monkeypatch):
+    # The case list refuses eq7 at x = 61 in exact mode while it is
+    # built, before any verifier runs on the cases below it.
+    def no_verifier(*args, **kwargs):
+        raise AssertionError("a verifier ran before the range was refused")
+
+    for ident, entry in identities.CATALOGUE.items():
+        monkeypatch.setitem(identities.CATALOGUE, ident,
+                            entry._replace(verify=no_verifier))
+    code, out, err = run_cli(["verify", "--id", "eq7", "--mode", "exact",
+                              "--x-max", "61", "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: exact mode at s = 1.0 limited to x <= 60, "
+                   "got x = 61\n")
 
 
 @pytest.mark.parametrize("budget", ["nan", "abc", "-5", "inf", "1e400"])

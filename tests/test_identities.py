@@ -59,6 +59,21 @@ def test_identity_case_validation():
         IdentityCase(Identity.EQ1, 5, mode="quick")
 
 
+def test_identity_case_refuses_what_no_verifier_runs():
+    # Refused where the case is built, with the errors verify_case
+    # raised when it evaluated the case.
+    with pytest.raises(ExactModeError, match="got s = 0.5"):
+        IdentityCase(Identity.EQ1, 10, s=0.5, mode="exact")
+    with pytest.raises(RationalBoundError, match="x <= 60, got x = 61"):
+        IdentityCase(Identity.EQ7, 61, mode="exact")
+    with pytest.raises(RationalBoundError, match="x <= 12, got x = 13"):
+        IdentityCase(Identity.EQ3, 13, mode="exact")
+    with pytest.raises(ValueError, match="capped at x <= 60"):
+        IdentityCase(Identity.EQ13, 61, mode="float")
+    IdentityCase(Identity.EQ7, 61)                   # auto runs float
+    IdentityCase(Identity.EQ6, 61, s=0.0, mode="exact")
+
+
 def test_residual_pass_logic():
     assert Residual("exact", 1, 1, exact_value=0).passed
     assert not Residual("exact", 1, 2, exact_value=Fraction(1, 3)).passed
@@ -340,31 +355,26 @@ def test_memo_shares_cases_that_resolve_alike(cache_small):
     assert run(Identity.EQ17, 10, 0.0) is not run(Identity.EQ6, 10, 0.0)
 
 
-def test_eq18_reads_and_stores_eq17_in_the_memo(cache_small):
-    # eq18's exact cross-check takes eq17's grouped case from the run's
-    # memo, and stores it there when the run has not evaluated eq17 yet.
-    def eq17(memo):
-        return verify_case(IdentityCase(Identity.EQ17, 30, s=0.0),
-                           cache_small, memo=memo)
-
-    def eq18(memo):
+def test_eq18_cross_checks_the_mobius_products(monkeypatch):
+    # eq18's exact cross-check ties its pairwise floor total to
+    # sum_p c_p floor(x^2/p) over the cache's Mobius products: one c_p
+    # off by one must fail it, while eq18's own residual still holds.
+    def eq18():
         return verify_case(IdentityCase(Identity.EQ18, 30, mode="exact"),
-                           cache_small, memo=memo)
+                           SequenceCache(900))
 
-    memo = {}
-    first = eq18(memo)
-    assert first.passed and len(memo) == 2
-    stored = eq17(memo)  # a hit: nothing is added
-    assert len(memo) == 2 and stored is not first
-    assert any(r is stored for r in memo.values())
-    # A wrong eq17 total in the memo must fail eq18's cross-check.
-    memo = {}
-    right = eq17(memo)
-    (key,) = memo
-    memo[key] = Residual(kind="exact", lhs=right.lhs, rhs=right.rhs + 1,
-                         exact_value=0)
-    assert not eq18(memo).passed
-    assert eq18({}).passed
+    assert eq18().passed
+    products = SequenceCache._products
+
+    def off_by_one(self, x, kind):
+        ps, cs = products(self, x, kind)
+        if kind == "mobius":
+            cs = cs.copy()
+            cs[-1] += 1
+        return ps, cs
+
+    monkeypatch.setattr(SequenceCache, "_products", off_by_one)
+    assert not eq18().passed
 
 
 def test_dispatcher_covers_catalogue(cache_small):
