@@ -69,14 +69,21 @@ def gamma_convergence_study(points: tuple[int, ...] = _DEFAULT_POINTS,
                             cache: SequenceCache | None = None) -> GammaStudy:
     """Estimate gamma at each point and grade scaled-error growth.
 
-    The verdict scaled_error_bounded is True when no doubling step in
-    `points` multiplies x * abs_error by more than _RATIO_LIMIT and the
-    final doubling sits below _FINAL_RATIO_LIMIT: geometric growth in
-    the scaled error would show up as persistent large ratios.
+    `points` (non-empty, each >= 2, named once) get a row each, in
+    ascending x.  The verdict scaled_error_bounded is True when no
+    doubling step multiplies x * abs_error by more than _RATIO_LIMIT and
+    the final doubling sits below _FINAL_RATIO_LIMIT: geometric growth
+    in the scaled error would show up as persistent large ratios.
     """
-    xs = sorted(set(int(p) for p in points))
+    xs = sorted(int(p) for p in points)
     if not xs:
-        raise ValueError("points must be non-empty")
+        raise ValueError("gamma needs at least one point")
+    if xs[0] < 2:
+        raise ValueError("gamma points must be >= 2")
+    repeated = sorted({a for a, b in zip(xs, xs[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"gamma points must be distinct, repeated: "
+                         f"{', '.join(map(str, repeated))}")
     cache = _covering(cache, xs[-1] ** 2)
     rows = tuple(gamma_series(x, cache) for x in xs)
     by_x = {r.x: r for r in rows}

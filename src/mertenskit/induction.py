@@ -177,12 +177,15 @@ def check_induction_step(x: int, n: int = 1, curves=None) -> InductionRow:
 
     lhs = sup_{y<=x} |M_{y^2}| and rhs = 2^n sqrt(x) sup_{y<=x} |M_y|;
     the step holds when lhs <= rhs.  minimal_C is the smallest constant
-    making the y <= x bound tight at x.  The suprema come from `curves`
-    when given, else from sup_mertens(x).
+    making the y <= x bound tight at x; a sup_M of 0 is refused.  The
+    suprema come from `curves` when given, else from sup_mertens(x).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rec = sup_mertens(x, curves=curves)
+    if rec.sup_M == 0:
+        raise ValueError(f"sup |M_y| over [3, {x}] is 0: the step ratio "
+                         f"and minimal C are undefined at x = {x}")
     rhs = _chain_factor(x, n) * rec.sup_M
     ratio = rec.sup_M_sq / rhs
     min_c = rec.sup_M / (sqrt(x) * log(x) ** n)

@@ -203,7 +203,7 @@ class SequenceCache:
     """Shared prefix tables over 1..limit, indexed by absolute k.
 
     Eager: mu (int8) and the Mertens prefix (int32).  Everything else
-    (float prefix tables per exponent, the one exact ScaledSums table,
+    (float prefix tables per exponent, the one exact ScaledSums slot,
     the memo of mertens_sublinear over this cache's prefix, the square
     products per kind) is built on first use and kept.  A cache is
     single-threaded: the lazy tables are built without a lock.  Arrays
@@ -260,15 +260,13 @@ class SequenceCache:
         return self._float_prefix("harmonic", s)
 
     def exact_sums(self, n: int) -> ScaledSums:
-        """Scaled exact prefixes reaching n <= limit.  The kept table over
-        1..min(limit, RATIONAL_BOUND) is built once and serves every n it
-        reaches; a larger n gets a table over 1..n for this call only, so
-        later calls keep the smaller common denominator."""
-        keep = min(self.limit, RATIONAL_BOUND)
-        if n > keep:
-            return ScaledSums(n, self.mu)
-        if self._exact_sums is None:
-            self._exact_sums = ScaledSums(keep, self.mu)
+        """Scaled exact prefixes over 1..max(n, min(limit, RATIONAL_BOUND)),
+        n <= limit, in one slot rebuilt only when that size changes; verify
+        runs its cases by x, then reach, so calls at one size come together."""
+        size = max(n, min(self.limit, RATIONAL_BOUND))
+        if self._exact_sums is None or self._exact_sums.n != size:
+            self._exact_sums = None  # free the old table first
+            self._exact_sums = ScaledSums(size, self.mu)
         return self._exact_sums
 
 

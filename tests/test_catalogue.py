@@ -23,6 +23,7 @@ from mertenskit import (
 )
 from mertenskit import cli, identities, sequences
 from mertenskit.cli import main
+from mertenskit.exact import ScaledSums
 
 
 def mu_trial(n: int) -> int:
@@ -210,6 +211,25 @@ def test_verify_evaluates_each_square_case_once(tmp_path, monkeypatch):
     squarefree = [k for k in ks if k % 4 and k % 9]
     assert shells == Counter({**{("plain", k): 1 for k in ks},
                               **{("mobius", k): 1 for k in squarefree}})
+
+
+def test_verify_builds_each_square_exact_table_once(tmp_path, monkeypatch):
+    # At each x the closures run before the cases whose tables reach
+    # x^2, so eq5 and eq15 read one exact table over 1..x^2 from the
+    # cache's one slot; eq18 and the closures read the small table.
+    built = Counter()
+    init = ScaledSums.__init__
+
+    def counting(self, n, mu):
+        built[n] += 1
+        init(self, n, mu)
+
+    monkeypatch.setattr(ScaledSums, "__init__", counting)
+    verify_rows(["--mode", "exact", "--id", "eq1", "--id", "eq5", "--id",
+                 "eq15", "--id", "eq18", "--x-min", "14", "--x-max", "20"],
+                tmp_path)
+    assert {n: c for n, c in built.items() if n > 200} == {
+        x * x: 1 for x in range(15, 21)}
 
 
 @pytest.mark.parametrize("options", [[], ["--mode", "float", "--s", "0.5"]],

@@ -263,6 +263,30 @@ def test_exit_two_on_short_mu_file(tmp_path, capsys):
     assert "2500" in err
 
 
+def test_exit_two_on_vanishing_mertens_sum(tmp_path, capsys):
+    # mu = 1, -1, 0, 0, ... makes M_y = 0 for every y >= 2: the step
+    # ratio and minimal C are undefined from x = 3 on.
+    mu_file = tmp_path / "mu.txt"
+    mu_file.write_text("\n".join(["1", "-1"] + ["0"] * 2498) + "\n")
+    code, out, err = run_cli(["induction", "--x-max", "50", "--mu-file",
+                              str(mu_file), "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert "[3, 3] is 0" in err
+
+
+def test_mu_file_reads_values_in_file_order(tmp_path, capsys):
+    # --mu-file holds whitespace-separated values, any number per line.
+    mu = SequenceCache(2500).mu[1:].tolist()
+    one = tmp_path / "one.txt"
+    one.write_text("\n".join(map(str, mu)) + "\n")
+    two = tmp_path / "two.txt"
+    two.write_text("".join(f"{a} {b}\n" for a, b in zip(mu[::2], mu[1::2])))
+    reports = [run_cli(["induction", "--x-max", "50", "--mu-file", str(f),
+                        "--no-timestamp"], capsys) for f in (one, two)]
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
 def test_verify_reports_cases_above_tail_cap_as_skipped(capsys):
     code, out, _ = run_cli(["verify", "--id", "eq3", "--x-min", "55",
                             "--x-max", "100", "--format", "json",

@@ -74,6 +74,16 @@ def test_convergence_study_rejects_empty():
         gamma_convergence_study(())
 
 
+@pytest.mark.parametrize("points, message", [
+    ((50, 50), "repeated: 50"),
+    ((100, 1, 50), "gamma points must be >= 2"),
+])
+def test_convergence_study_refuses_points_it_would_not_report(points, message):
+    # Every point gets a row or the request is refused.
+    with pytest.raises(ValueError, match=message):
+        gamma_convergence_study(points)
+
+
 def test_gamma_series_builds_own_cache_when_needed():
     small = SequenceCache(10)
     est = gamma_series(20, small)   # cache too small; a local one is built

@@ -194,3 +194,15 @@ def test_double_sum_cross_check_float_fallback(cache_square):
     assert floor_form.kind == "exact" and floor_form.exact_value == 0
     r = verify_eq18(400, "float", cache_square)
     assert r.kind == "float" and r.passed
+
+
+def test_vanishing_mertens_sup_is_refused():
+    # mu = 1, -1, 0, 0, ... makes M_y = 0 for every y >= 2; the step
+    # ratio and minimal C would divide by sup |M_y| = 0.
+    mu = np.zeros(100, dtype=np.int64)
+    mu[:2] = (1, -1)
+    with pytest.raises(ValueError, match=r"over \[3, 3\] is 0"):
+        induction_sweep(10, grid="all", mu_values=mu)
+    curves = sup_curves(*mertens_square_table(10, mu_values=mu))
+    with pytest.raises(ValueError, match=r"over \[3, 7\] is 0"):
+        check_induction_step(7, curves=curves)
