@@ -30,12 +30,7 @@ from math import isfinite
 import numpy as np
 
 from .arith import _mertens_segments
-from .config import (
-    DEFAULT_TOLERANCE,
-    TRIPLE_LOOP_FLOAT_BOUND,
-    CapacityError,
-    check_capacity,
-)
+from .config import DEFAULT_TOLERANCE, CapacityError, check_capacity
 from .gamma import _DEFAULT_POINTS, GammaEstimate, gamma_convergence_study
 from .identities import CATALOGUE, Identity, IdentityCase, verify_case
 from .induction import InductionRow, induction_sweep
@@ -54,8 +49,6 @@ _SIEVE_COLUMNS = ("k", "mu", "mertens")
 _SIEVE_ROW_BYTES = {"csv": 400, "json": 1200}
 _MERTENS_COLUMNS = ("x", "mertens")
 
-_TAIL_CAP = ("eq3/eq13 tail double sums are capped at x <= "
-             f"{TRIPLE_LOOP_FLOAT_BOUND} (TRIPLE_LOOP_FLOAT_BOUND)")
 
 def _json_cell(v):
     if v is None or isinstance(v, bool):
@@ -111,12 +104,12 @@ def _emit(args: argparse.Namespace, columns, rows, summary: dict) -> None:
 # --- verify ---------------------------------------------------------------
 
 def _verify_cases(args: argparse.Namespace
-                  ) -> tuple[list[IdentityCase], int, SequenceCache]:
-    """The requested cases in catalogue order, how many eq3/eq13 cases
-    the tail-sum cap leaves out, and the cache that serves them all.
-    The cache is sized from the range alone, so a range over the memory
-    budget is refused before any case is built, and IdentityCase
-    refuses a case its entry cannot run before any case is evaluated."""
+                  ) -> tuple[list[IdentityCase], SequenceCache]:
+    """The requested cases in catalogue order and the cache that serves
+    them all.  The cache is sized from the range alone, so a range over
+    the memory budget is refused before any case is built, and
+    IdentityCase refuses a case its entry cannot run before any case is
+    evaluated."""
     known = {i.value for i in Identity}
     bad = [w for w in args.identities if w not in known]
     if bad:
@@ -128,24 +121,16 @@ def _verify_cases(args: argparse.Namespace
     if args.step < 1:
         raise ValueError(f"step must be >= 1, got {args.step}")
     xs = range(args.x_min, args.x_max + 1, args.step)
-    runs = []  # (identity, entry, its xs up to its x_cap)
-    for ident, entry in CATALOGUE.items():
-        if ident.value in wanted:
-            top = min(args.x_max, entry.x_cap or args.x_max)
-            runs.append((ident, entry, range(args.x_min, top + 1, args.step)))
-    need = max((run[-1] ** entry.reach for _, entry, run in runs if run),
-               default=0)
-    if not need:
-        raise ValueError(f"no cases to run: {_TAIL_CAP}")
-    cache = SequenceCache(need)
+    entries = [(ident, entry) for ident, entry in CATALOGUE.items()
+               if ident.value in wanted]
+    cache = SequenceCache(max(xs[-1] ** entry.reach for _, entry in entries))
     cases = []
-    for ident, entry, run in runs:
+    for ident, entry in entries:
         s = args.s if entry.s is None else entry.s
-        for x in run:
+        for x in xs:
             js = sorted({x, (x + x * x) // 2, x * x}) if entry.needs_j else [None]
             cases += [IdentityCase(ident, x, j, s, args.mode) for j in js]
-    skipped = sum(len(xs) - len(run) for _, _, run in runs)
-    return cases, skipped, cache
+    return cases, cache
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -154,7 +139,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if not isfinite(args.s):
         raise ValueError(f"--s must be finite, got {args.s}")
-    cases, skipped, cache = _verify_cases(args)
+    cases, cache = _verify_cases(args)
     memo = {}
 
     def one(case: IdentityCase) -> dict:
@@ -175,8 +160,6 @@ def _run_verify(args: argparse.Namespace) -> int:
     summary = {"cases": len(rows), "failures": len(failures),
                "tolerance": args.tolerance,
                "failed_at": [f"{r['identity']}@x={r['x']}" for r in failures]}
-    if skipped:
-        summary["skipped"] = {"count": skipped, "reason": _TAIL_CAP}
     _emit(args, _VERIFY_COLUMNS, rows, summary)
     return 0 if not failures else 1
 

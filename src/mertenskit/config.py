@@ -19,9 +19,10 @@ RATIONAL_BOUND = 200
 # denominators up to lcm(1..x^2), so the cap sits well below RATIONAL_BOUND.
 RATIONAL_SQUARE_BOUND = 60
 
-# Exact / float caps for the triple-loop derivation-chain checks (O(x^3)).
-TRIPLE_LOOP_EXACT_BOUND = 12
-TRIPLE_LOOP_FLOAT_BOUND = 60
+# Largest x for which the tail identities run in exact-rational mode: each
+# of their ~x^2 ln x terms is a product of three big integers over
+# lcm(1..x^2), so they stop well below RATIONAL_SQUARE_BOUND.
+TAIL_EXACT_BOUND = 12
 
 # Largest x accepted by the Euler-gamma series (needs an m-prefix table of
 # x^2 doubles, so 3000 keeps the table under ~100 MB).

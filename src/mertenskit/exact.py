@@ -12,6 +12,7 @@ from math import prod
 import numpy as np
 
 from .arith import primes_up_to
+from .config import check_capacity
 
 __all__ = ["ScaledSums", "lcm_upto"]
 
@@ -51,6 +52,9 @@ class ScaledSums:
             raise ValueError("mu must cover indices 0..n")
         self.n = n
         self.denominator = L = lcm_upto(n)
+        # Peak: 4 arrays of pointers to ints of <= bits(L) bits, 30 per 4 B.
+        check_capacity(4 * (n + 1) * (L.bit_length() // 7 + 36),
+                       "exact prefix sums")
         self.weights = np.empty(n + 1, dtype=object)
         self.weights[0] = 0
         self.weights[1:] = [L // k for k in range(1, n + 1)]

@@ -26,6 +26,8 @@ _FINAL_RATIO_LIMIT = 1.05
 
 _DEFAULT_POINTS = (50, 100, 200, 400, 800)
 
+_CAPPED = f"gamma series needs tables to x^2; capped at x <= {GAMMA_SERIES_CAP}"
+
 
 @dataclass(frozen=True)
 class GammaEstimate:
@@ -53,8 +55,7 @@ def gamma_series(x: int, cache: SequenceCache | None = None) -> GammaEstimate:
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if x > GAMMA_SERIES_CAP:
-        raise CapacityError(
-            f"gamma series needs tables to x^2; capped at x <= {GAMMA_SERIES_CAP}")
+        raise CapacityError(_CAPPED)
     xx = x * x
     cache = _covering(cache, xx)
     m = cache.oscillatory_float(1.0)
@@ -69,11 +70,12 @@ def gamma_convergence_study(points: tuple[int, ...] = _DEFAULT_POINTS,
                             cache: SequenceCache | None = None) -> GammaStudy:
     """Estimate gamma at each point and grade scaled-error growth.
 
-    `points` (non-empty, each >= 2, named once) get a row each, in
-    ascending x.  The verdict scaled_error_bounded is True when no
-    doubling step multiplies x * abs_error by more than _RATIO_LIMIT and
-    the final doubling sits below _FINAL_RATIO_LIMIT: geometric growth
-    in the scaled error would show up as persistent large ratios.
+    `points` (non-empty, each in [2, GAMMA_SERIES_CAP], named once, all
+    checked before any table is built) get a row each, in ascending x.
+    The verdict scaled_error_bounded is True when no doubling step
+    multiplies x * abs_error by more than _RATIO_LIMIT and the final
+    doubling sits below _FINAL_RATIO_LIMIT: geometric growth in the
+    scaled error would show up as persistent large ratios.
     """
     xs = sorted(int(p) for p in points)
     if not xs:
@@ -84,6 +86,8 @@ def gamma_convergence_study(points: tuple[int, ...] = _DEFAULT_POINTS,
     if repeated:
         raise ValueError(f"gamma points must be distinct, repeated: "
                          f"{', '.join(map(str, repeated))}")
+    if xs[-1] > GAMMA_SERIES_CAP:
+        raise CapacityError(_CAPPED)
     cache = _covering(cache, xs[-1] ** 2)
     rows = tuple(gamma_series(x, cache) for x in xs)
     by_x = {r.x: r for r in rows}

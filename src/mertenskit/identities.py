@@ -15,10 +15,11 @@ weight w(k) = k^-s:
     closure  sum_{i<=x} a(i) w(i) B_{floor(n/i)} = 1
                  n = x:                         eq1 (1, mu), eq11 (mu, 1)
                  n = floor(x^2/j), x<=j<=x^2:   eq2 (1, mu), eq12 (mu, 1)
-    tail     sum_{j=x+1..x^2} sum_{i<=x} a(i)a(j) w(ij) B_{floor(x^2/ij)}
+    tail     sum_{i<=x} sum_{x<j<=x^2/i} a(i)a(j) w(ij) B_{floor(x^2/ij)}
                  = A_{x^2} - A_x                eq3 (1, mu), eq13 (mu, 1)
-             (the head form over j <= x and the sum grouped by i are
-             checked alongside)
+             (B_0 = 0 ends column i at j = floor(x^2/i), so about
+             x^2 ln x terms; the head form over j <= x and the sum
+             grouped by i are checked alongside)
     square   A_{x^2} = 2 A_x - sum_{i,j<=x} a(i)a(j) w(ij) B_{floor(x^2/ij)}
                  eq5 (1, mu), with eq6 at s = 0 and eq7 at s = 1;
                  eq15 (mu, 1), with eq17 at s = 0 and eq16 at s = 1
@@ -65,6 +66,7 @@ mode bounds; the CLI reads the catalogue order and metadata from it.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import fsum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,8 +75,7 @@ from .config import (
     DEFAULT_TOLERANCE,
     RATIONAL_BOUND,
     RATIONAL_SQUARE_BOUND,
-    TRIPLE_LOOP_EXACT_BOUND,
-    TRIPLE_LOOP_FLOAT_BOUND,
+    TAIL_EXACT_BOUND,
     check_capacity,
 )
 from .sequences import (
@@ -82,6 +83,7 @@ from .sequences import (
     RationalBoundError,
     SequenceCache,
     _covering,
+    _exact_parts,
     _exact_sum,
 )
 
@@ -161,9 +163,6 @@ class IdentityCase:
         if self.mode == "exact" and s == 1 and self.x > entry.exact_bound:
             raise RationalBoundError(f"exact mode at s = {s} limited to x <= "
                                      f"{entry.exact_bound}, got x = {self.x}")
-        if entry.x_cap is not None and self.x > entry.x_cap:
-            raise ValueError(f"{self.identity.value} is capped at x <= "
-                             f"{entry.x_cap} in every mode, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,8 @@ class _Arith(NamedTuple):
     a: np.ndarray        # a(k), k = 0..n
     A: object            # prefix sums of a, indexed by k or an int array
     B: object            # prefix sums of the Dirichlet inverse of a
-    weight: Callable     # w(k) = k^-s for an int k or an int array
+    weight: Callable     # w(k) = k^-s over an int array
+    weight_each: Callable  # the same, one scalar w(k) per k
     total: Callable      # the sum of a 1-D array of terms
     value: Callable      # (total, p) -> float, int or Fraction
     one: int | float     # the closure's right-hand side
@@ -339,27 +339,26 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
     if mode == "float":
         e = -float(s)
 
-        def power(k):
-            # An array goes through numpy's pow, a single k through
-            # Python's; the two can differ in the last bit, and the
-            # reports pin both.
-            if isinstance(k, np.ndarray):
-                return k.astype(np.float64) ** e
-            return float(k) ** e
+        def power_each(k):
+            # Python's pow, which can differ from numpy's array pow in
+            # the last bit; the reports pin both.
+            return np.fromiter((v ** e for v in k.tolist()), np.float64,
+                               len(k))
 
         A, B = pair.ab(_Lazy(cache.harmonic_float, s),
                        _Lazy(cache.oscillatory_float, s))
-        return _Arith(a, A, B, power, _exact_sum, lambda v, p: float(v),
-                      1.0, "float")
+        return _Arith(a, A, B, lambda k: k.astype(np.float64) ** e,
+                      power_each, _exact_sum, lambda v, p: float(v), 1.0,
+                      "float")
     if s == 0:
         A, B = pair.ab(_Count(), cache.mertens)
-        return _Arith(a, A, B, lambda k: 1, _int_sum, lambda v, p: int(v), 1,
-                      "exact")
+        return _Arith(a, A, B, lambda k: 1, lambda k: 1, _int_sum,
+                      lambda v, p: int(v), 1, "exact")
     ss = cache.exact_sums(n)
     L = ss.denominator
     A, B = pair.ab(ss.harmonic_num, ss.oscillatory_num)
-    return _Arith(a, A, B, ss.weights.__getitem__, _int_sum,
-                  lambda v, p: Fraction(v, L ** p), 1, "exact")
+    return _Arith(a, A, B, ss.weights.__getitem__, ss.weights.__getitem__,
+                  _int_sum, lambda v, p: Fraction(v, L ** p), 1, "exact")
 
 
 # --- the three shapes -------------------------------------------------------
@@ -382,37 +381,40 @@ def _closure(pair: _Pair, x: int, s: float, mode: str,
 
 def _tail(pair: _Pair, x: int, s: float, mode: str,
           cache: SequenceCache | None, tolerance: float | None) -> Residual:
-    """sum_{j>x, i<=x} (w(j)a(j))(w(i)a(i)) B_{floor(x^2/ij)} = A_{x^2} - A_x.
+    """The tail, column i over x < j <= floor(x^2/i):
+    sum (w(j)a(j))(w(i)a(i)) B_{floor(x^2/ij)} = A_{x^2} - A_x.
 
-    Also checks the complementary head form (the tail equals A_x minus
-    the same double sum over i, j <= x) and the tail summed column by
-    column over i; a form that disagrees while the main check passes is
-    reported instead.
+    A pair with ij > x^2 would read B_0 = 0, so the columns hold about
+    x^2 ln x terms.  The complementary head form (A_x minus the same
+    double sum over i, j <= x) and the tail grouped column by column are
+    checked too; one that disagrees while the main check passes is
+    reported instead.  Each column is kept only as parts with its exact
+    total (extraction passes for floats, the total of an exact sum), so
+    the work holds the per-j weights and one column at a time.
     """
     xx = x * x
     ar = _arith(pair, xx, s, mode, cache)
     a, i = ar.a, np.arange(1, x + 1, dtype=np.int64)
     wa_i = ar.weight(i) * a[1:x + 1]
-
-    def terms(js):
-        """A row of terms per j in js with a(j) != 0, one column per i."""
-        js = np.array([j for j in js if a[j]], dtype=np.int64)
-        wa_j = np.array([ar.weight(j) * int(a[j]) for j in js.tolist()],
-                        dtype=wa_i.dtype)
-        return (np.multiply.outer(wa_j, wa_i)
-                * ar.B[xx // np.multiply.outer(js, i)])
-
-    def total(values):
-        return ar.value(ar.total(values), 3)
-
-    tail = terms(range(x + 1, xx + 1))
-    lhs = total(tail.ravel())
+    js = np.flatnonzero(a[1:xx + 1]) + 1  # the j <= x^2 with a(j) != 0
+    # Floats peak near 57 bytes per j (js, weights, and the ints read by
+    # power_each or a column); exact s = 1 takes more, but only to x = 12.
+    check_capacity(64 * len(js), "tail sum weights and columns")
+    wa_j = ar.weight_each(js) * a[js]
+    h = int(np.searchsorted(js, x, side="right"))  # js[:h] are the j <= x
+    head = ar.total((np.multiply.outer(wa_j[:h], wa_i)
+                     * ar.B[xx // np.multiply.outer(js[:h], i)]).ravel())
+    head_form = ar.value(ar.A[x], 1) - ar.value(head, 3)
+    if ar.kind == "float":
+        split, add = _exact_parts, fsum
+    else:
+        split, add = (lambda terms: [ar.total(terms)]), sum
+    ends = np.searchsorted(js, xx // i, side="right").tolist()
+    columns = [split(wa_j[h:end] * w * ar.B[xx // (js[h:end] * col)])
+               for col, w, end in zip(range(1, x + 1), wa_i, ends)]
+    lhs = ar.value(add(v for parts in columns for v in parts), 3)
     rhs = ar.value(ar.A[xx] - ar.A[x], 1)
-    head_form = ar.value(ar.A[x], 1) - total(terms(range(1, x + 1)).ravel())
-    # Python ints stay an object array: np.array would turn large ones
-    # into floats.
-    grouped = total(np.array([ar.total(col) for col in tail.T],
-                             dtype=tail.dtype if ar.kind == "float" else object))
+    grouped = ar.value(add(add(parts) for parts in columns), 3)
     res = ar.residual(lhs - rhs, lhs, rhs, tolerance)
     for other in (head_form, grouped):
         check = ar.residual(lhs - other, lhs, rhs, tolerance)
@@ -509,14 +511,12 @@ class CatalogueEntry(NamedTuple):
     pair: _Pair
     exact_bound: int                 # largest x run exact at s = 1
     reach: int                       # its tables index up to x ** reach
-    x_cap: int | None = None         # largest x accepted in any mode
     s: float | None = None           # pinned exponent (None: the caller's)
     needs_j: bool = False            # takes the nested point j in [x, x^2]
 
 
 _CLOSURE = dict(verify=_closure, exact_bound=RATIONAL_BOUND, reach=1)
-_TAIL = dict(verify=_tail, exact_bound=TRIPLE_LOOP_EXACT_BOUND, reach=2,
-             x_cap=TRIPLE_LOOP_FLOAT_BOUND)
+_TAIL = dict(verify=_tail, exact_bound=TAIL_EXACT_BOUND, reach=2)
 _SQUARE = dict(verify=_square, exact_bound=RATIONAL_SQUARE_BOUND, reach=2)
 
 # In catalogue order, which is the order of Identity.

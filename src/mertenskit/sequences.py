@@ -89,13 +89,20 @@ def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
-# Below this many terms _exact_sum hands them to fsum at once.
+# Below this many terms _exact_parts returns them as they are.
 _EXTRACT_MIN = 64
 
 
 def _exact_sum(terms: np.ndarray) -> float:
     """The exactly rounded sum of a float64 array: fsum(terms.tolist())
-    bit for bit, from whole-array passes and no list of all the terms.
+    bit for bit, from whole-array passes and no list of all the terms."""
+    return fsum(_exact_parts(terms))
+
+
+def _exact_parts(terms: np.ndarray) -> list[float]:
+    """A few floats with the exact sum of a float64 array, so fsum of
+    them, or of the parts of several arrays together, rounds as fsum of
+    all the terms does.
 
     Each pass is the error-free extraction of Rump, Ogita and Oishi
     ("Accurate floating-point summation, part I", SIAM J. Sci. Comput.
@@ -105,9 +112,9 @@ def _exact_sum(terms: np.ndarray) -> float:
     2^E in size, so every partial sum of them is below sigma and np.sum
     adds them without rounding, in any order.  The nonzero remainders
     go to the next pass.  The pass totals and the last remainders have
-    the input's exact sum, so fsum of them rounds as fsum of the input
-    does.  Non-finite input, and a sigma that would overflow or whose
-    grid 2^-53 sigma would be subnormal, leave the rest to fsum as is.
+    the input's exact sum; they are the parts.  Non-finite input, and a
+    sigma that would overflow or whose grid 2^-53 sigma would be
+    subnormal, leave the rest in the parts as is.
     """
     totals = []
     while len(terms) >= _EXTRACT_MIN:
@@ -124,7 +131,7 @@ def _exact_sum(terms: np.ndarray) -> float:
         totals.append(float(np.sum(high)))
         rest = np.subtract(terms, high, out=high)
         terms = rest[rest != 0]
-    return fsum(totals + terms.tolist())
+    return totals + terms.tolist()
 
 
 class _SquareProducts:

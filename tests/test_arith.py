@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from mertenskit import (
     arith,
     cli,
+    exact,
+    identities,
     induction,
     mobius_segment,
     mobius_sieve,
@@ -125,6 +127,22 @@ def _square_products_growth():
     return lambda: state.reach(800, None)
 
 
+def _tail_sum():
+    """eq3 in float mode at x = 300 on a cache whose float tables are
+    built before tracing, so the call charges only the tail's weights
+    and columns."""
+    cache = sequences.SequenceCache(300 ** 2)
+    cache.harmonic_float(0.5)
+    cache.oscillatory_float(0.5)
+    return lambda: identities.verify_eq3(300, 0.5, "float", cache)
+
+
+def _scaled_sums():
+    """The exact prefix numerators over lcm(1..3600), a 5192-bit L."""
+    mu = sequences.SequenceCache(3600).mu
+    return lambda: exact.ScaledSums(3600, mu)
+
+
 @pytest.mark.parametrize("module, call", [
     (arith, lambda: mobius_sieve(10 ** 6)),
     (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
@@ -137,9 +155,11 @@ def _square_products_growth():
     (cli, lambda: _sieve_report("csv")),
     (cli, lambda: _sieve_report("json")),
     (sequences, _square_products_growth()),
+    (identities, _tail_sum()),
+    (exact, _scaled_sums()),
 ], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
         "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json",
-        "square_products"])
+        "square_products", "tail_sum", "scaled_sums"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import arith, cli, identities
+from mertenskit import arith, cli, identities, sequences
 from mertenskit.cli import main
 
 
@@ -188,6 +188,18 @@ def test_exit_two_on_bad_points(capsys):
     assert code == 2
 
 
+def test_gamma_refuses_point_past_cap_before_any_table(monkeypatch, capsys):
+    # A cache to 3001^2 would sieve 9 * 10^6 values only to be refused.
+    def no_cache(*args, **kwargs):
+        raise AssertionError("a SequenceCache was built")
+
+    monkeypatch.setattr(sequences, "SequenceCache", no_cache)
+    code, out, err = run_cli(["gamma", "--points", "3001", "--no-timestamp"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "capped at x <= 3000" in err
+
+
 @pytest.mark.parametrize("points", ["", ","])
 def test_exit_two_on_empty_points(points, capsys):
     code, out, err = run_cli(["gamma", "--points", points, "--no-timestamp"],
@@ -287,28 +299,19 @@ def test_mu_file_reads_values_in_file_order(tmp_path, capsys):
     assert reports[1] == reports[0]
 
 
-def test_verify_reports_cases_above_tail_cap_as_skipped(capsys):
-    code, out, _ = run_cli(["verify", "--id", "eq3", "--x-min", "55",
-                            "--x-max", "100", "--format", "json",
-                            "--no-timestamp"], capsys)
+def test_verify_runs_tail_sums_past_sixty(capsys):
+    # eq3/eq13 run at every requested x: each gets a row, and the
+    # summary accounts for every case with no skip record.
+    code, out, _ = run_cli(["verify", "--id", "eq3", "--id", "eq13",
+                            "--x-min", "61", "--x-max", "62", "--format",
+                            "json", "--no-timestamp"], capsys)
     assert code == 0
-    summary = json.loads(out)["summary"]
-    assert summary["cases"] == 6 and summary["failures"] == 0
-    assert summary["skipped"]["count"] == 40
-    assert "60" in summary["skipped"]["reason"]
-
-
-def test_verify_summary_has_no_skip_record_without_skips(capsys):
-    code, out, _ = run_cli(["verify", "--id", "eq3", "--x-min", "2",
-                            "--x-max", "5", "--format", "json",
-                            "--no-timestamp"], capsys)
-    assert code == 0 and "skipped" not in json.loads(out)["summary"]
-
-
-def test_exit_two_when_every_case_is_above_tail_cap(capsys):
-    code, out, err = run_cli(["verify", "--id", "eq13", "--x-min", "61",
-                              "--x-max", "70", "--no-timestamp"], capsys)
-    assert code == 2 and out == "" and "60" in err
+    report = json.loads(out)
+    assert [(r["identity"], r["x"], r["pass"]) for r in report["rows"]] == [
+        ("eq3", 61, True), ("eq3", 62, True),
+        ("eq13", 61, True), ("eq13", 62, True)]
+    assert report["summary"]["cases"] == 4
+    assert "skipped" not in report["summary"]
 
 
 def test_exit_one_on_verify_failure(tmp_path, capsys):

@@ -68,9 +68,8 @@ def test_identity_case_refuses_what_no_verifier_runs():
         IdentityCase(Identity.EQ7, 61, mode="exact")
     with pytest.raises(RationalBoundError, match="x <= 12, got x = 13"):
         IdentityCase(Identity.EQ3, 13, mode="exact")
-    with pytest.raises(ValueError, match="capped at x <= 60"):
-        IdentityCase(Identity.EQ13, 61, mode="float")
     IdentityCase(Identity.EQ7, 61)                   # auto runs float
+    IdentityCase(Identity.EQ13, 61, mode="float")    # tails run at any x
     IdentityCase(Identity.EQ6, 61, s=0.0, mode="exact")
 
 
@@ -272,6 +271,34 @@ def test_tail_double_sums_float(cache_small, s):
         assert verify_eq13(x, s, "float", cache_small).passed, (x, s)
 
 
+def _tail_lhs_outer_product(mobius, x, s, cache):
+    """The float tail lhs as the full (x^2 - x) by x outer product over
+    x < j <= x^2 and i <= x, the pairs with ij > x^2 (they read B_0 = 0)
+    included, summed with math.fsum.  Each w(j) is Python's scalar pow."""
+    xx = x * x
+    a = cache.mu[:xx + 1] if mobius else np.ones(xx + 1, dtype=np.int64)
+    b = cache.harmonic_float(s) if mobius else cache.oscillatory_float(s)
+    i = np.arange(1, x + 1, dtype=np.int64)
+    js = np.array([j for j in range(x + 1, xx + 1) if a[j]], dtype=np.int64)
+    wa_j = np.array([float(j) ** -s * int(a[j]) for j in js.tolist()])
+    wa_i = i.astype(np.float64) ** -s * a[1:x + 1]
+    terms = (np.multiply.outer(wa_j, wa_i)
+             * b[xx // np.multiply.outer(js, i)])
+    return fsum(terms.ravel().tolist())
+
+
+@pytest.mark.parametrize("x", [61, 75])
+@pytest.mark.parametrize("s", [1.0, 0.5])
+def test_tail_lhs_matches_full_outer_product_bit_for_bit(cache_small, x, s):
+    # Past x = 60 and at an s where numpy's pow and Python's differ:
+    # summing column i only to floor(x^2/i) drops exact zeros, so the
+    # exactly rounded total keeps every bit of the full form.
+    for verify, mobius in ((verify_eq3, False), (verify_eq13, True)):
+        res = verify(x, s, "float", cache_small)
+        want = _tail_lhs_outer_product(mobius, x, s, cache_small)
+        assert res.passed and res.lhs.hex() == want.hex(), (verify, x, s)
+
+
 def test_fraction_form_float_beyond_rational_bound(cache_square):
     r = verify_eq18(300, "auto", cache_square)
     assert r.kind == "float" and r.passed
@@ -328,8 +355,6 @@ def test_exact_mode_bound_errors(cache_small):
         verify_eq1(201, 1.0, "exact", cache_small)
     with pytest.raises(ExactModeError):
         verify_eq1(10, 0.5, "exact", cache_small)
-    with pytest.raises(ValueError):
-        verify_eq3(61, 1.0, "float", cache_small)
 
 
 @given(st.integers(min_value=1, max_value=300))
