@@ -44,24 +44,51 @@ def test_mobius_oracle_values():
         assert table[k] == expected, f"mu({k})"
 
 
+def _mu_by_trial_division(k):
+    """mu(k) rebuilt from scratch by trial division."""
+    n, factors = k, 0
+    for p in range(2, isqrt(k) + 1):
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            factors += 1
+            if n % p == 0:
+                return 0
+    if n > 1:
+        factors += 1
+    return (-1) ** factors
+
+
 def test_mobius_matches_definition_bruteforce():
-    # Trial-divide every k <= 500 and rebuild mu from scratch.
     table = mobius_sieve(500)
     for k in range(1, 501):
-        n, factors, squareful = k, 0, False
-        for p in range(2, isqrt(k) + 1):
-            if n % p == 0:
-                n //= p
-                factors += 1
-                if n % p == 0:
-                    squareful = True
-                    break
-                while n % p == 0:
-                    n //= p
-        if n > 1:
-            factors += 1
-        expected = 0 if squareful else (-1) ** factors
-        assert table[k] == expected, f"mu({k})"
+        assert table[k] == _mu_by_trial_division(k), f"mu({k})"
+
+
+def _assert_segment_matches_oracle(lo, hi):
+    expected = [_mu_by_trial_division(k) for k in range(lo, hi + 1)]
+    assert mobius_segment(lo, hi).values.tolist() == expected, (lo, hi)
+
+
+# The sieve holds its product in int32 for hi < 2^31 and int64 above:
+# windows on each side of that switch, one straddling it, and windows
+# around squares of primes near sqrt(2^31) = 46340.95 and near 10^5.
+@pytest.mark.parametrize("lo, hi", [
+    (1, 1), (1, 300),
+    (2 ** 31 - 50, 2 ** 31 + 50),
+    (2 ** 31 - 1, 2 ** 31 - 1), (2 ** 31, 2 ** 31),
+    *[(p * p - 20, p * p + 20) for p in (46337, 46349, 99991)],
+])
+def test_segment_matches_oracle_on_fixed_windows(lo, hi):
+    _assert_segment_matches_oracle(lo, hi)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 12),
+       st.integers(min_value=0, max_value=300))
+@settings(max_examples=40, deadline=None)
+def test_segment_matches_oracle_on_random_windows(lo, extra):
+    _assert_segment_matches_oracle(lo, lo + extra)
 
 
 def test_mobius_first_row_sums():
@@ -146,6 +173,7 @@ def _scaled_sums():
 @pytest.mark.parametrize("module, call", [
     (arith, lambda: mobius_sieve(10 ** 6)),
     (arith, lambda: mobius_segment(10 ** 9, 10 ** 9 + 10 ** 6 - 1)),
+    (arith, lambda: mobius_segment(10 ** 10, 10 ** 10 + 10 ** 6 - 1)),
     (sequences, lambda: sequences.mertens_sublinear(10 ** 9)),
     (sequences, lambda: sequences.SequenceCache(10 ** 6)),
     (sequences, lambda: _in_segments(lambda: sequences.SequenceCache(10 ** 6))),
@@ -157,7 +185,8 @@ def _scaled_sums():
     (sequences, _square_products_growth()),
     (identities, _tail_sum()),
     (exact, _scaled_sums()),
-], ids=["mobius_sieve", "mobius_segment", "sublinear_base", "sequence_cache",
+], ids=["mobius_sieve", "mobius_segment", "mobius_segment_int64",
+        "sublinear_base", "sequence_cache",
         "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json",
         "square_products", "tail_sum", "scaled_sums"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
