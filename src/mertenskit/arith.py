@@ -24,8 +24,20 @@ __all__ = [
 _SIEVE_BYTES = 20
 
 # Values per window of _mertens_segments, the one loop that turns mu
-# into running Mertens sums.
-_SEGMENT = 1 << 22
+# into running Mertens sums.  A window's arrays set the scan's peak
+# memory, and each window pays 2 pi(sqrt(hi)) strided passes.  2^20 is
+# the smallest size no slower than 2^22 at lo = 1 and 10^10 (ns per
+# value, fastest of 3 in-process scans, two runs on a 2-core x86-64
+# host):
+#
+#   window                     2^18     2^19     2^20    2^21   2^22
+#   lo = 1,     3.6e7 values   21-22    21-23    21      22     24
+#   lo = 10^10, 2^24 values    75-85    53-54    41-44   37-41  43-47
+#   lo = 10^12, 2^23 values   585-644  301-410  164-177  95-99  73-88
+#
+# At lo = 10^12 the per-window passes dominate, so there a scan longer
+# than one window takes about twice as long as with 2^22.
+_SEGMENT = 1 << 20
 
 
 def primes_up_to(n: int) -> np.ndarray:

@@ -179,6 +179,8 @@ def _scaled_sums():
     (sequences, lambda: _in_segments(lambda: sequences.SequenceCache(10 ** 6))),
     (induction, lambda: _in_segments(
         lambda: induction.mertens_square_table(1000))),
+    # The window size that ships: 1.21e6 values in two windows.
+    (induction, lambda: induction.mertens_square_table(1100)),
     # The whole command in each format: sieve, row dicts and report text.
     (cli, lambda: _sieve_report("csv")),
     (cli, lambda: _sieve_report("json")),
@@ -187,7 +189,8 @@ def _scaled_sums():
     (exact, _scaled_sums()),
 ], ids=["mobius_sieve", "mobius_segment", "mobius_segment_int64",
         "sublinear_base", "sequence_cache",
-        "sequence_cache_segmented", "square_table", "sieve_csv", "sieve_json",
+        "sequence_cache_segmented", "square_table", "square_table_default",
+        "sieve_csv", "sieve_json",
         "square_products", "tail_sum", "scaled_sums"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.

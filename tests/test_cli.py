@@ -68,11 +68,16 @@ def test_sieve_window_matches_library(capsys):
 
 
 def test_sieve_window_across_segments_is_unchanged(capsys, monkeypatch):
-    # Windows of 64 values split [100, 300] at 164, 228 and 292.
-    args = ["sieve", "--lo", "100", "--hi", "300", "--no-timestamp"]
-    whole = run_cli(args, capsys)
+    # Windows of 64 values split [100, 300] at 164, 228 and 292.  Across
+    # 2^31 the window [2147483640, 2147483703] sieves an int64 product
+    # where the windows before it in the same scan sieve an int32 one.
+    calls = [["sieve", "--lo", lo, "--hi", hi, "--no-timestamp"]
+             for lo, hi in [("100", "300"), ("2147483000", "2147484000")]]
+    wholes = [run_cli(args, capsys) for args in calls]
     monkeypatch.setattr(arith, "_SEGMENT", 64)
-    assert run_cli(args, capsys) == whole
+    assert [run_cli(args, capsys) for args in calls] == wholes
+    last = read_csv(wholes[1][1])[-1]
+    assert int(last["mertens"]) == mertens_sublinear(2147484000) == 9552
 
 
 def test_mertens_command(capsys):
