@@ -27,13 +27,13 @@ _SIEVE_BYTES = 20
 # into running Mertens sums.  A window's arrays set the scan's peak
 # memory, and each window pays 2 pi(sqrt(hi)) strided passes.  2^20 is
 # the smallest size no slower than 2^22 at lo = 1 and 10^10 (ns per
-# value, fastest of 3 in-process scans, two runs on a 2-core x86-64
-# host):
+# value, fastest of 3 in-process scans, three runs on a loaded 2-core
+# x86-64 host):
 #
-#   window                     2^18     2^19     2^20    2^21   2^22
-#   lo = 1,     3.6e7 values   21-22    21-23    21      22     24
-#   lo = 10^10, 2^24 values    75-85    53-54    41-44   37-41  43-47
-#   lo = 10^12, 2^23 values   585-644  301-410  164-177  95-99  73-88
+#   window                     2^18      2^19     2^20     2^21     2^22
+#   lo = 1,     3.6e7 values   20-26     17-23    17-22    19-22    22-28
+#   lo = 10^10, 2^24 values    83-105    58-92    44-54    39-46    49-54
+#   lo = 10^12, 2^23 values   869-1100  377-558  199-222  100-125  79-102
 #
 # At lo = 10^12 the per-window passes dominate, so there a scan longer
 # than one window takes about twice as long as with 2^22.
@@ -83,6 +83,8 @@ def _mobius_range(lo: int, hi: int) -> np.ndarray:
     dividing k, or 0 once a p^2 divides k, so |prod| <= k <= hi at every
     step and int32 holds it below 2^31.  A k with |prod| != k has one
     prime factor above sqrt(hi) left, which flips the sign once more.
+    The flip is whole-array int8 arithmetic: mu times (2 flip - 1), then
+    negated, with no masked write.
     """
     dtype = np.int32 if hi < 2 ** 31 else np.int64
     prod = np.ones(hi - lo + 1, dtype=dtype)
@@ -90,8 +92,12 @@ def _mobius_range(lo: int, hi: int) -> np.ndarray:
         prod[-lo % p::p] *= -p
         prod[-lo % (p * p)::p * p] = 0
     mu = np.sign(prod).astype(np.int8)
-    mu[np.abs(prod, out=prod) != np.arange(lo, hi + 1, dtype=dtype)] *= -1
-    return mu
+    flip = (np.abs(prod, out=prod)
+            != np.arange(lo, hi + 1, dtype=dtype)).view(np.int8)
+    flip *= 2
+    flip -= 1
+    mu *= flip
+    return np.negative(mu, out=mu)
 
 
 def mobius_sieve(n: int) -> MobiusTable:

@@ -91,6 +91,14 @@ def test_segment_matches_oracle_on_random_windows(lo, extra):
     _assert_segment_matches_oracle(lo, lo + extra)
 
 
+@pytest.mark.parametrize("lo", [10 ** 6, 10 ** 10])
+def test_segment_values_are_int8_signs_on_both_product_types(lo):
+    # hi below 2^31 runs an int32 product, above it an int64 one.
+    values = mobius_segment(lo, lo + 10 ** 4).values
+    assert values.dtype == np.int8
+    assert set(np.unique(values).tolist()) == {-1, 0, 1}
+
+
 def test_mobius_first_row_sums():
     # M(x) for x = 1..10 is 1,0,-1,-1,-2,-1,-2,-2,-2,-1.
     table = mobius_sieve(10)

@@ -70,6 +70,23 @@ def test_sublinear_matches_sieve_randomized(cache_square):
         assert mertens_sublinear(x) == int(cache_square.mertens[x]), x
 
 
+def test_sublinear_recursion_at_the_quotient_edges():
+    # Over a base of 1024 every node runs head and tail.  The tail's
+    # q_max = v//(d+1) is d - 1 for d^2 <= v < d^2 + d and d from d^2 + d
+    # to (d+1)^2 - 1, so v sits on each side of that switch; every node
+    # a call memoizes is checked as well.
+    cache = SequenceCache(3 * 10 ** 6)
+    tab = cache.mertens
+    edges = [v for d in (33, 34, 35, 64, 100, 317, 1000, 1731)
+             for v in (d * d - 1, d * d, d * d + d - 1, d * d + d,
+                       (d + 1) ** 2 - 1)]
+    rng = random.Random(20261019)
+    for v in edges + [rng.randint(1025, 2 ** 16) for _ in range(2000)]:
+        memo = {}
+        assert sequences._mertens_recurse(v, tab, 1024, memo) == tab[v], v
+        assert all(m == tab[u] for u, m in memo.items()), v
+
+
 def test_sublinear_reuses_supplied_cache(cache_small):
     assert mertens_sublinear(10 ** 4, cache_small) == -23
     assert mertens_sublinear(5, cache_small) == -2
