@@ -4,7 +4,7 @@ Commands:
 
     sieve      mu and Mertens values over a window [lo, hi]
     mertens    one Mertens value via the sublinear evaluator
-    verify     identity residual sweeps (columns pinned below)
+    verify     identity residual sweeps
     gamma      gamma-series convergence table
     induction  sup-bound step comparison sweep
 
@@ -19,10 +19,9 @@ failed, 2 usage or capacity error.
 
 import argparse
 import csv
-import io
 import json
 import sys
-from dataclasses import fields
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import isfinite
@@ -31,23 +30,17 @@ import numpy as np
 
 from .arith import _mertens_segments
 from .config import DEFAULT_TOLERANCE, CapacityError, check_capacity
-from .gamma import _DEFAULT_POINTS, GammaEstimate, gamma_convergence_study
+from .gamma import _DEFAULT_POINTS, gamma_convergence_study
 from .identities import CATALOGUE, Identity, IdentityCase, verify_case
-from .induction import InductionRow, induction_sweep
+from .induction import induction_sweep
 from .sequences import SequenceCache, mertens_sublinear
 
 __all__ = ["main"]
 
-_VERIFY_COLUMNS = ("identity", "x", "j", "s", "mode", "lhs", "rhs",
-                   "residual", "pass")
-_GAMMA_COLUMNS = tuple(f.name for f in fields(GammaEstimate))
-_INDUCTION_COLUMNS = tuple(f.name for f in fields(InductionRow))
-_SIEVE_COLUMNS = ("k", "mu", "mertens")
-# Peak bytes per sieve report row: the row dicts, the report text and the
-# window's arrays.  Under tracemalloc, 10^5 rows at lo = 1 and at
-# lo = 10^11 peaked at 330-370 B as CSV and 1130-1170 B as JSON.
-_SIEVE_ROW_BYTES = {"csv": 400, "json": 1200}
-_MERTENS_COLUMNS = ("x", "mertens")
+# Peak bytes per sieve report row: the row dicts, and for JSON the encoder's
+# chunks and the report text.  Under tracemalloc, 10^5 rows at lo = 1 and
+# at lo = 10^11 peaked at 248-269 B as CSV and 925-969 B as JSON.
+_SIEVE_ROW_BYTES = {"csv": 300, "json": 1000}
 
 
 def _json_cell(v):
@@ -76,29 +69,27 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(args: argparse.Namespace, columns, rows, summary: dict) -> None:
-    """Write rows (list of dicts) as CSV or JSON; '-' means stdout."""
-    if args.format == "json":
-        doc = {"command": args.command,
-               "rows": [{c: r[c] for c in columns} for r in rows],
-               "summary": summary}
-        if not args.no_timestamp:
-            doc["generated"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(doc, indent=2, default=_json_cell) + "\n"
-    else:
-        buf = io.StringIO()
-        if not args.no_timestamp:
-            buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_fmt_cell(r[c]) for c in columns])
-        text = buf.getvalue()
-    if args.output in ("-", ""):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+def _emit(args: argparse.Namespace, rows: list[dict], summary: dict) -> None:
+    """Write the report as CSV or JSON; '-' means stdout.
+
+    The row contract: at least one row, the same keys in every row, and
+    the keys in column order.  The CSV header is the first row's keys and
+    the rows are written one by one; JSON holds the rows as built."""
+    stamp = (None if args.no_timestamp
+             else datetime.now(timezone.utc).isoformat())
+    with (nullcontext(sys.stdout) if args.output in ("-", "")
+          else open(args.output, "w", newline="")) as fh:
+        if args.format == "json":
+            doc = {"command": args.command, "rows": rows, "summary": summary}
+            if stamp:
+                doc["generated"] = stamp
+            fh.write(json.dumps(doc, indent=2, default=_json_cell) + "\n")
+        else:
+            if stamp:
+                fh.write(f"# generated {stamp}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0])
+            writer.writerows([_fmt_cell(v) for v in r.values()] for r in rows)
 
 
 # --- verify ---------------------------------------------------------------
@@ -133,7 +124,7 @@ def _verify_cases(args: argparse.Namespace
     return cases, cache
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     if not (isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(
             f"--tolerance must be finite and >= 0, got {args.tolerance}")
@@ -160,8 +151,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     summary = {"cases": len(rows), "failures": len(failures),
                "tolerance": args.tolerance,
                "failed_at": [f"{r['identity']}@x={r['x']}" for r in failures]}
-    _emit(args, _VERIFY_COLUMNS, rows, summary)
-    return 0 if not failures else 1
+    return rows, summary, 0 if not failures else 1
 
 
 # --- gamma ------------------------------------------------------------------
@@ -177,19 +167,18 @@ def _gamma_points(text: str) -> tuple[int, ...]:
         raise ValueError("--points must be comma-separated integers") from None
 
 
-def _run_gamma(args: argparse.Namespace) -> int:
+def _run_gamma(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     study = gamma_convergence_study(_gamma_points(args.points))
     rows = [vars(r) for r in study.rows]
     summary = {"max_scaled_error": study.max_scaled_error,
                "doubling_ratios": study.doubling_ratios,
                "scaled_error_bounded": study.scaled_error_bounded}
-    _emit(args, _GAMMA_COLUMNS, rows, summary)
-    return 0 if study.scaled_error_bounded else 1
+    return rows, summary, 0 if study.scaled_error_bounded else 1
 
 
 # --- induction --------------------------------------------------------------
 
-def _run_induction(args: argparse.Namespace) -> int:
+def _run_induction(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     mu_values = None
     if args.mu_file:
         # In file order, however many values a line holds.
@@ -207,13 +196,12 @@ def _run_induction(args: argparse.Namespace) -> int:
                "max_ratio": report.max_ratio, "minimal_C": report.minimal_C,
                "violations": report.violations,
                "bound_x0": report.params.x0, "bound_C": report.params.C}
-    _emit(args, _INDUCTION_COLUMNS, rows, summary)
-    return 0 if not report.violations else 1
+    return rows, summary, 0 if not report.violations else 1
 
 
 # --- sieve / mertens ------------------------------------------------------
 
-def _run_sieve(args: argparse.Namespace) -> int:
+def _run_sieve(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     if not 1 <= args.lo <= args.hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{args.lo}, {args.hi}]")
     check_capacity(_SIEVE_ROW_BYTES[args.format] * (args.hi - args.lo + 1),
@@ -224,15 +212,12 @@ def _run_sieve(args: argparse.Namespace) -> int:
             for j, (m, r) in enumerate(zip(mu, running))]
     summary = {"lo": args.lo, "hi": args.hi,
                "mertens_at_hi": rows[-1]["mertens"]}
-    _emit(args, _SIEVE_COLUMNS, rows, summary)
-    return 0
+    return rows, summary, 0
 
 
-def _run_mertens(args: argparse.Namespace) -> int:
-    value = mertens_sublinear(args.x)
-    rows = [{"x": args.x, "mertens": value}]
-    _emit(args, _MERTENS_COLUMNS, rows, {"x": args.x, "mertens": value})
-    return 0
+def _run_mertens(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
+    row = {"x": args.x, "mertens": mertens_sublinear(args.x)}
+    return [row], row, 0
 
 
 def _add_common(p: argparse.ArgumentParser, runner) -> None:
@@ -299,7 +284,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return args.run(args)
+        rows, summary, code = args.run(args)
+        _emit(args, rows, summary)
+        return code
     except (CapacityError, MemoryError) as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return 2

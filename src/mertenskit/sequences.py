@@ -285,15 +285,18 @@ def _covering(cache: SequenceCache | None, n: int) -> SequenceCache:
 
 
 # Grow-only base of mertens_sublinear for queries no caller's cache
-# covers, shared across calls so they reuse its sieve and its memo.  A
-# query that needs a larger base replaces it, and the memo goes with it.
+# serves, shared across calls so they reuse its sieve and its memo.  A
+# query it does not serve replaces it, and the memo goes with it.
 _base_cache: SequenceCache | None = None
 
 
 def _mertens_recurse(v: int, tab: np.ndarray, tab_limit: int,
                      memo: dict[int, int]) -> int:
     """M(v) = 1 - sum_{i=2..v} M(v//i), grouped over quotient blocks;
-    `memo` holds M(v) for the v above tab_limit seen so far."""
+    `memo` holds M(v) for the v above tab_limit seen so far.
+
+    Exact for any tab_limit >= isqrt(v): the tail reads the table only up
+    to q_max <= isqrt(v), and head arguments above the table recurse."""
     if v <= tab_limit:
         return int(tab[v])
     hit = memo.get(v)
@@ -332,16 +335,20 @@ def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
     a fresh process, base included (0.34-0.44 s before head and tail
     shared one division per node and the sieve lost its masked write;
     2-core x86-64 host).
-    The base is `cache` when it covers the needed range, else the
-    module's grow-only cache; either way the recursion memoizes into
-    that cache, so its entries go when the cache goes.
+    The base is `cache` when it serves the query, else the module's
+    grow-only cache, rebuilt at the needed size when it does not; either
+    way the recursion memoizes into that cache, so its entries go when
+    the cache goes.  A table serves a query when 2 * limit >= need, with
+    need = min(x, max(1024, x^(2/3))): half of need always reaches
+    isqrt(x), which is all _mertens_recurse needs to be exact, so a
+    query just past the last base reuses it instead of re-sieving from 1.
     """
     global _base_cache
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     need = min(x, max(1024, int(round(x ** (2.0 / 3.0)))))
-    if cache is None or cache.limit < need:
-        if _base_cache is None or _base_cache.limit < need:
+    if cache is None or 2 * cache.limit < need:
+        if _base_cache is None or 2 * _base_cache.limit < need:
             _base_cache = None  # free the old base before the new one is built
             _base_cache = SequenceCache(need)
         cache = _base_cache

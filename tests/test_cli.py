@@ -148,6 +148,19 @@ def test_sieve_report_is_charged_before_sieving(capsys, monkeypatch):
     assert "capacity" in err
 
 
+def test_sieve_json_window_fits_a_budget_below_the_old_charge(
+        capsys, monkeypatch):
+    # 10^4 rows under 1100 B each: the per-row charge plus the scan's
+    # windows fit, where the 1200 B per row once charged did not.
+    monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", str(1100 * 10 ** 4))
+    code, out, _ = run_cli(["sieve", "--lo", "1", "--hi", "10000",
+                            "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["k"] for r in rows] == list(range(1, 10001))
+    assert rows[-1]["mertens"] == -23
+
+
 def test_verify_refuses_an_oversized_range_before_building_cases(
         capsys, monkeypatch):
     def no_case(*args, **kwargs):

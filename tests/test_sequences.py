@@ -140,6 +140,32 @@ def test_sublinear_base_is_one_grow_only_cache(monkeypatch):
     assert sequences._base_cache.limit == 4_641_589
 
 
+def test_sublinear_base_serves_queries_up_to_twice_its_limit(monkeypatch):
+    # M(2147484000) needs a base of 1 664 511, one value more than the
+    # base M(2147482999) builds; half of that base still reaches
+    # isqrt(2147484000) = 46 340 many times over, so the second query
+    # recurses over the same base.
+    built = []
+
+    class CountingCache(SequenceCache):
+        def __init__(self, limit):
+            built.append(limit)
+            super().__init__(limit)
+
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    monkeypatch.setattr(sequences, "SequenceCache", CountingCache)
+    assert mertens_sublinear(2147482999) == 9566
+    assert mertens_sublinear(2147484000) == 9552
+    assert built == [1_664_510]
+
+
+def test_sublinear_uses_a_callers_cache_half_the_base(monkeypatch):
+    # M(10^9) needs a base of 10^6; a cache of half that serves it.
+    monkeypatch.setattr(sequences, "_base_cache", None)
+    assert mertens_sublinear(10 ** 9, SequenceCache(500_000)) == -222
+    assert sequences._base_cache is None
+
+
 def test_sublinear_frees_the_old_base_before_building_the_next(monkeypatch):
     # Traced from before M(10^9), so its 5·10^6 B base counts while it
     # lives: the peak of M(10^10) must stay below that of its own base
