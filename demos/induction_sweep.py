@@ -10,7 +10,7 @@ column shows how much slack the step has at each grid point.
 
 import time
 
-from mertenskit import induction_sweep, sup_mertens
+from mertenskit import check_induction_step, induction_sweep
 
 x_max = 2000
 
@@ -37,6 +37,6 @@ print("max ratio over grid:", f"{report.max_ratio:.4f}")
 print("minimal admissible C:", f"{report.minimal_C:.4f}")
 
 # single-x drill-down, recomputed from the sieve rather than the sweep
-rec = sup_mertens(500)
-print("x=500 cross-check:", rec.sup_M, "at", rec.argmax_y,
-      "/", rec.sup_M_sq, "at", rec.argmax_y_sq)
+row = check_induction_step(500)
+print("x=500 cross-check:", row.sup_M, "at", row.argmax_y,
+      "/", row.sup_M_sq, "at", row.argmax_y_sq)

@@ -37,19 +37,15 @@ from .identities import (
     verify_eq18,
 )
 from .induction import (
-    BoundParams,
     InductionReport,
     InductionRow,
-    SupRecord,
     check_induction_step,
     induction_sweep,
     mertens_square_table,
-    sup_mertens,
 )
 from .sequences import (
     EULER_GAMMA,
     ExactModeError,
-    OscillatoryValue,
     RationalBoundError,
     SequenceCache,
     harmonic,

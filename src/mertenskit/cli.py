@@ -25,6 +25,7 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import isfinite
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .arith import _mertens_segments
 from .config import DEFAULT_TOLERANCE, CapacityError, check_capacity
 from .gamma import _DEFAULT_POINTS, gamma_convergence_study
 from .identities import CATALOGUE, Identity, IdentityCase, verify_case
-from .induction import induction_sweep
+from .induction import BOUND_X0, induction_sweep
 from .sequences import SequenceCache, mertens_sublinear
 
 __all__ = ["main"]
@@ -90,6 +91,20 @@ def _emit(args: argparse.Namespace, rows: list[dict], summary: dict) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(rows[0])
             writer.writerows([_fmt_cell(v) for v in r.values()] for r in rows)
+
+
+def _probe_output(path: str) -> None:
+    """Refuse an -o path that cannot be opened before any work, and leave
+    the file system as it was: opening for appending keeps an existing
+    report, and a file the probe created is removed again.  A FIFO is
+    left to _emit, since a second open would find its reader gone."""
+    target = Path(path)
+    if path in ("-", "") or target.is_fifo():
+        return
+    existed = target.exists()
+    open(target, "a").close()
+    if not existed:
+        target.unlink()
 
 
 # --- verify ---------------------------------------------------------------
@@ -195,15 +210,24 @@ def _run_induction(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     summary = {"x_max": report.x_max, "n": report.n, "grid": report.grid,
                "max_ratio": report.max_ratio, "minimal_C": report.minimal_C,
                "violations": report.violations,
-               "bound_x0": report.params.x0, "bound_C": report.params.C}
+               "bound_x0": BOUND_X0, "bound_C": report.minimal_C}
     return rows, summary, 0 if not report.violations else 1
 
 
 # --- sieve / mertens ------------------------------------------------------
 
+def _check_float_range(option: str, value: int) -> None:
+    """Refuse an integer past float range: mertens_sublinear sizes its
+    base table from x^(2/3) in float arithmetic."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{option} has {len(str(value))} digits, past "
+                         f"float range")
+
+
 def _run_sieve(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     if not 1 <= args.lo <= args.hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{args.lo}, {args.hi}]")
+    _check_float_range("--lo", args.lo)
     check_capacity(_SIEVE_ROW_BYTES[args.format] * (args.hi - args.lo + 1),
                    f"sieve {args.format} report")
     base = 0 if args.lo == 1 else mertens_sublinear(args.lo - 1)
@@ -216,6 +240,7 @@ def _run_sieve(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
 
 
 def _run_mertens(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
+    _check_float_range("--x", args.x)
     row = {"x": args.x, "mertens": mertens_sublinear(args.x)}
     return [row], row, 0
 
@@ -284,6 +309,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
+        _probe_output(args.output)
         rows, summary, code = args.run(args)
         _emit(args, rows, summary)
         return code

@@ -79,9 +79,8 @@ from .config import (
     check_capacity,
 )
 from .sequences import (
-    ExactModeError,
-    RationalBoundError,
     SequenceCache,
+    _check_exact,
     _covering,
     _exact_parts,
     _exact_sum,
@@ -156,13 +155,9 @@ class IdentityCase:
         if entry.s is not None and float(self.s) != entry.s:
             raise ValueError(
                 f"{self.identity.value} is pinned at s = {entry.s}, got {self.s}")
-        s = self.s if entry.s is None else entry.s
-        if self.mode == "exact" and s not in (0, 1):
-            raise ExactModeError(
-                f"exact mode requires s in {{0, 1}}, got s = {s}")
-        if self.mode == "exact" and s == 1 and self.x > entry.exact_bound:
-            raise RationalBoundError(f"exact mode at s = {s} limited to x <= "
-                                     f"{entry.exact_bound}, got x = {self.x}")
+        if self.mode == "exact":
+            _check_exact(self.x, self.s if entry.s is None else entry.s,
+                         entry.exact_bound)
 
 
 @dataclass(frozen=True)

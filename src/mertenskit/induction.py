@@ -8,11 +8,13 @@ through to x^2.  At each x this module compares
 
 the left side is the sup over [3, x^2] at the squares only.  Both come
 from one scan of the Mertens prefix up to x^2 (x = 10^4: 10^8 sieved
-values); a sweep reports the step ratio and the minimal admissible C.
-Chaining the bound to all of [3, x^2] needs the sup over the whole
-range, which is not computed here.
+values).  check_induction_step(x) gives the row at x, suprema included;
+a sweep reports the rows, the worst step ratio and the minimal
+admissible C.  Chaining the bound to all of [3, x^2] needs the sup over
+the whole range, which is not computed here.
 """
 
+import sys
 from dataclasses import dataclass
 from math import isfinite, isqrt, log, sqrt
 
@@ -22,52 +24,25 @@ from .arith import _mertens_segments, _scan_bytes
 from .config import check_capacity
 
 __all__ = [
-    "BoundParams",
     "InductionReport",
     "InductionRow",
-    "SupRecord",
     "check_induction_step",
     "induction_sweep",
     "mertens_square_table",
-    "sup_mertens",
 ]
 
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameters of one bound |M_y| <= C sqrt(y) (log y)^n for y >= x0."""
-
-    x0: int
-    C: float
-    n: int
-
-    def __post_init__(self):
-        if self.x0 <= 2:
-            raise ValueError(f"x0 must be > 2, got {self.x0}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class SupRecord:
-    """Running suprema of |M_y| over [3, x] and |M_{y^2}| over the same y."""
-
-    x: int
-    sup_M: int
-    argmax_y: int
-    sup_M_sq: int
-    argmax_y_sq: int
+# The least y of the bound |M_y| <= C sqrt(y) (log y)^n, where both
+# suprema start.
+BOUND_X0 = 3
 
 
 @dataclass(frozen=True)
 class InductionRow:
     x: int
     n: int
-    sup_M: int
-    argmax_y: int
-    sup_M_sq: int
+    sup_M: int          # sup over 3 <= y <= x of |M_y|
+    argmax_y: int       # the least y attaining it
+    sup_M_sq: int       # sup over 3 <= y <= x of |M_{y^2}|
     argmax_y_sq: int
     lhs: int            # sup over y <= x of |M_{y^2}|
     rhs: float          # 2^n sqrt(x) sup_M
@@ -85,7 +60,6 @@ class InductionReport:
     max_ratio: float
     minimal_C: float
     violations: tuple[int, ...]
-    params: BoundParams
 
 
 def mertens_square_table(x_max: int, mu_values=None):
@@ -97,8 +71,8 @@ def mertens_square_table(x_max: int, mu_values=None):
     k = 1..x_max^2, any int array-like) replaces the sieve when given;
     this is the hook for synthetic-counterexample runs.
     """
-    if x_max < 3:
-        raise ValueError(f"x_max must be >= 3, got {x_max}")
+    if x_max < BOUND_X0:
+        raise ValueError(f"x_max must be >= {BOUND_X0}, got {x_max}")
     limit = x_max * x_max
     check_capacity(_scan_bytes(limit) + 16 * x_max, "segmented square table")
     mu = None
@@ -127,12 +101,12 @@ def sup_curves(m_small: np.ndarray, m_sq: np.ndarray):
     """Running maxima of |M_y| and |M_{y^2}| with first-attaining argmax.
 
     Returns (sup_m, arg_m, sup_sq, arg_sq) indexed by x; entries below
-    x = 3 are placeholders (the suprema start at y = 3).
+    x = BOUND_X0 are placeholders (the suprema start at y = BOUND_X0).
     """
     out = []
     for values in (m_small, m_sq):
         a = np.abs(values).astype(np.int64)
-        a[:min(3, len(a))] = -1
+        a[:min(BOUND_X0, len(a))] = -1
         run = np.maximum.accumulate(a)
         prev = np.concatenate((np.full(1, -2, dtype=np.int64), run[:-1]))
         record = a > prev
@@ -140,20 +114,6 @@ def sup_curves(m_small: np.ndarray, m_sq: np.ndarray):
             np.where(record, np.arange(len(a), dtype=np.int64), 0))
         out.extend((run, arg))
     return tuple(out)
-
-
-def sup_mertens(x: int, curves=None) -> SupRecord:
-    """SupRecord at x, from precomputed curves or, without them, from
-    mertens_square_table(x): the sweep's segmented sieve to x^2."""
-    if x < 3:
-        raise ValueError(f"x must be >= 3, got {x}")
-    if curves is None:
-        curves = sup_curves(*mertens_square_table(x))
-    sup_m, arg_m, sup_sq, arg_sq = curves
-    if x >= len(sup_m):
-        raise ValueError(f"x = {x} beyond the computed range {len(sup_m) - 1}")
-    return SupRecord(x=x, sup_M=int(sup_m[x]), argmax_y=int(arg_m[x]),
-                     sup_M_sq=int(sup_sq[x]), argmax_y_sq=int(arg_sq[x]))
 
 
 def _chain_factor(x: int, n: int) -> float:
@@ -178,34 +138,41 @@ def check_induction_step(x: int, n: int = 1, curves=None) -> InductionRow:
     lhs = sup_{y<=x} |M_{y^2}| and rhs = 2^n sqrt(x) sup_{y<=x} |M_y|;
     the step holds when lhs <= rhs.  minimal_C is the smallest constant
     making the y <= x bound tight at x; a sup_M of 0 is refused.  The
-    suprema come from `curves` when given, else from sup_mertens(x).
+    suprema are read at x from `curves` (sup_curves) when given, else
+    from mertens_square_table(x): the sweep's segmented sieve to x^2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rec = sup_mertens(x, curves=curves)
-    if rec.sup_M == 0:
-        raise ValueError(f"sup |M_y| over [3, {x}] is 0: the step ratio "
-                         f"and minimal C are undefined at x = {x}")
-    rhs = _chain_factor(x, n) * rec.sup_M
-    ratio = rec.sup_M_sq / rhs
-    min_c = rec.sup_M / (sqrt(x) * log(x) ** n)
-    return InductionRow(x=x, n=n, sup_M=rec.sup_M, argmax_y=rec.argmax_y,
-                        sup_M_sq=rec.sup_M_sq, argmax_y_sq=rec.argmax_y_sq,
-                        lhs=rec.sup_M_sq, rhs=rhs, ratio=ratio,
-                        minimal_C=min_c, step_holds=rec.sup_M_sq <= rhs)
+    if x < BOUND_X0:
+        raise ValueError(f"x must be >= {BOUND_X0}, got {x}")
+    if curves is None:
+        curves = sup_curves(*mertens_square_table(x))
+    if x >= len(curves[0]):
+        raise ValueError(
+            f"x = {x} beyond the computed range {len(curves[0]) - 1}")
+    sup_m, arg_m, sup_sq, arg_sq = (int(curve[x]) for curve in curves)
+    if sup_m == 0:
+        raise ValueError(f"sup |M_y| over [{BOUND_X0}, {x}] is 0: the step "
+                         f"ratio and minimal C are undefined at x = {x}")
+    rhs = _chain_factor(x, n) * sup_m
+    return InductionRow(x=x, n=n, sup_M=sup_m, argmax_y=arg_m,
+                        sup_M_sq=sup_sq, argmax_y_sq=arg_sq,
+                        lhs=sup_sq, rhs=rhs, ratio=sup_sq / rhs,
+                        minimal_C=sup_m / (sqrt(x) * log(x) ** n),
+                        step_holds=sup_sq <= rhs)
 
 
 def _default_grid(x_max: int, sup_m: np.ndarray) -> list[int]:
     """Dense start, then log-spaced points, plus every new |M| record."""
-    xs = set(range(3, min(1000, x_max) + 1))
+    xs = set(range(BOUND_X0, min(1000, x_max) + 1))
     if x_max > 1000:
         marks = np.unique(np.round(np.logspace(
             np.log10(1001), np.log10(x_max), 80)).astype(np.int64))
         xs.update(int(v) for v in marks)
     records = np.nonzero(sup_m[1:] > sup_m[:-1])[0] + 1
-    xs.update(int(v) for v in records if v >= 3)
+    xs.update(int(v) for v in records)
     xs.add(x_max)
-    return sorted(v for v in xs if 3 <= v <= x_max)
+    return sorted(v for v in xs if BOUND_X0 <= v <= x_max)
 
 
 def induction_sweep(x_max: int, n: int = 1, grid: str = "default",
@@ -219,10 +186,13 @@ def induction_sweep(x_max: int, n: int = 1, grid: str = "default",
     """
     if grid not in ("all", "default"):
         raise ValueError(f"grid must be 'all' or 'default', got {grid!r}")
-    if x_max < 3:
-        raise ValueError(f"x_max must be >= 3, got {x_max}")
+    if x_max < BOUND_X0:
+        raise ValueError(f"x_max must be >= {BOUND_X0}, got {x_max}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if x_max * x_max > sys.float_info.max:
+        raise ValueError(f"x_max has {len(str(x_max))} digits, so x_max^2 "
+                         f"is past float range")
     # The chain factor grows with x, so x_max bounds every row's.
     try:
         _chain_factor(x_max, n)
@@ -231,14 +201,12 @@ def induction_sweep(x_max: int, n: int = 1, grid: str = "default",
                          f"2^n sqrt(x) (log x)^n at x = {x_max}") from None
     m_small, m_sq = mertens_square_table(x_max, mu_values=mu_values)
     curves = sup_curves(m_small, m_sq)
-    xs = (list(range(3, x_max + 1)) if grid == "all"
+    xs = (range(BOUND_X0, x_max + 1) if grid == "all"
           else _default_grid(x_max, curves[0]))
     rows = tuple(check_induction_step(x, n, curves=curves) for x in xs)
     violations = tuple(r.x for r in rows if not r.step_holds)
-    minimal_c = max(r.minimal_C for r in rows)
-    params = BoundParams(x0=3, C=minimal_c, n=n)
     return InductionReport(n=n, x_max=x_max, grid=grid, rows=rows,
                            max_ratio=max(r.ratio for r in rows),
-                           minimal_C=minimal_c, violations=violations,
-                           params=params)
+                           minimal_C=max(r.minimal_C for r in rows),
+                           violations=violations)
 

@@ -24,7 +24,6 @@ per kind in a grow-only state: raising x adds only the new shells k, so
 a sweep over ascending x builds each product once.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import frexp, fsum, isfinite, isqrt, ldexp
 
@@ -43,7 +42,6 @@ __all__ = [
     "EULER_GAMMA",
     "EULER_GAMMA_DIGITS",
     "ExactModeError",
-    "OscillatoryValue",
     "RationalBoundError",
     "SequenceCache",
     "harmonic",
@@ -249,7 +247,10 @@ class SequenceCache:
         got = self._float_tables.get(key)
         if got is not None:
             return got
-        check_capacity(8 * (self.limit + 1), f"float {kind} prefix")
+        # The table keeps 8 B per entry, but the build holds k, the powers
+        # and _compensated_cumsum's temporaries beside it: a traced peak
+        # of 41.0 B per entry at 10^6 entries, both kinds.
+        check_capacity(42 * (self.limit + 1), f"float {kind} prefix")
         k = np.arange(1, self.limit + 1, dtype=np.float64)
         powers = k ** -float(s)
         if kind == "oscillatory":
@@ -356,14 +357,14 @@ def mertens_sublinear(x: int, cache: SequenceCache | None = None) -> int:
                             cache._sublinear_memo)
 
 
-@dataclass(frozen=True)
-class OscillatoryValue:
-    """One evaluation of M_x(s) with its provenance pinned."""
-
-    x: int
-    s: float
-    mode: str                      # "exact" | "float"
-    value: int | Fraction | float
+def _check_exact(x: int, s: float, bound: int) -> None:
+    """Refuse exact mode at an s outside {0, 1}, or at s = 1 past `bound`."""
+    if s not in (0, 1):
+        raise ExactModeError(
+            f"exact mode requires s in {{0, 1}}, got s = {s}")
+    if s == 1 and x > bound:
+        raise RationalBoundError(f"exact mode at s = {s} limited to x <= "
+                                 f"{bound}, got x = {x}")
 
 
 def _check_mode(x: int, s: float, mode: str) -> None:
@@ -371,18 +372,13 @@ def _check_mode(x: int, s: float, mode: str) -> None:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if mode == "exact":
-        if s not in (0, 1):
-            raise ExactModeError(
-                f"exact mode requires s in {{0, 1}}, got s = {s}")
-        if s == 1 and x > RATIONAL_BOUND:
-            raise RationalBoundError(
-                f"exact s=1 limited to x <= {RATIONAL_BOUND}, got {x}")
+        _check_exact(x, s, RATIONAL_BOUND)
     elif mode != "float":
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
 
 
 def oscillatory(x: int, s: float, mode: str = "float",
-                cache: SequenceCache | None = None) -> OscillatoryValue:
+                cache: SequenceCache | None = None) -> int | Fraction | float:
     """M_x(s) = sum_{k<=x} mu(k)/k^s.
 
     Exact mode supports s = 0 (integer M_x) and s = 1 (Fraction, x
@@ -391,14 +387,13 @@ def oscillatory(x: int, s: float, mode: str = "float",
     """
     _check_mode(x, s, mode)
     if mode == "exact" and s == 0:
-        return OscillatoryValue(x, 0.0, "exact", mertens_sublinear(x, cache))
+        return mertens_sublinear(x, cache)
     cache = _covering(cache, x)
     if mode == "exact":
-        return OscillatoryValue(x, 1.0, "exact",
-                                cache.exact_sums(x).oscillatory(x))
+        return cache.exact_sums(x).oscillatory(x)
     ks = np.arange(1, x + 1, dtype=np.float64)
     terms = cache.mu[1:x + 1] * ks ** (-float(s))
-    return OscillatoryValue(x, float(s), "float", _exact_sum(terms))
+    return _exact_sum(terms)
 
 
 def harmonic(x: int, s: float, mode: str = "float") -> int | Fraction | float:

@@ -172,6 +172,13 @@ def _tail_sum():
     return lambda: identities.verify_eq3(300, 0.5, "float", cache)
 
 
+def _float_prefix():
+    """The oscillatory prefix table at s = 0.05 over a 10^6 cache built
+    before tracing, so the call charges only the table's build."""
+    cache = sequences.SequenceCache(10 ** 6)
+    return lambda: cache.oscillatory_float(0.05)
+
+
 def _scaled_sums():
     """The exact prefix numerators over lcm(1..3600), a 5192-bit L."""
     mu = sequences.SequenceCache(3600).mu
@@ -194,12 +201,13 @@ def _scaled_sums():
     (cli, lambda: _sieve_report("json")),
     (sequences, _square_products_growth()),
     (identities, _tail_sum()),
+    (sequences, _float_prefix()),
     (exact, _scaled_sums()),
 ], ids=["mobius_sieve", "mobius_segment", "mobius_segment_int64",
         "sublinear_base", "sequence_cache",
         "sequence_cache_segmented", "square_table", "square_table_default",
         "sieve_csv", "sieve_json",
-        "square_products", "tail_sum", "scaled_sums"])
+        "square_products", "tail_sum", "float_prefix", "scaled_sums"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []

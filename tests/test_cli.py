@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import arith, cli, identities, sequences
+from mertenskit import arith, cli, identities, induction, sequences
 from mertenskit.cli import main
 
 
@@ -262,6 +262,48 @@ def test_exit_two_on_induction_n_out_of_range(n, message, capsys):
                               "--no-timestamp"], capsys)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["mertens", "--x", str(10 ** 400)], "--x"),
+    (["sieve", "--lo", str(10 ** 400), "--hi", str(10 ** 400)], "--lo"),
+    (["induction", "--x-max", str(10 ** 200)], "x_max"),
+], ids=["mertens", "sieve", "induction"])
+def test_exit_two_on_integer_past_float_range(args, name, capsys,
+                                              monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for an input past float "
+                             "range")
+
+    for module in (sequences, cli, induction):
+        monkeypatch.setattr(module, "_mertens_segments", no_table)
+    code, out, err = run_cli(args + ["--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} has ") and "float range" in err
+
+
+def test_unopenable_output_is_refused_before_the_run(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the window was sieved before -o was opened")
+
+    monkeypatch.setattr(cli, "_mertens_segments", no_sieve)
+    target = tmp_path / "missing" / "r.csv"
+    code, out, err = run_cli(["sieve", "--hi", "2000000", "-o", str(target)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err
+
+
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    target = tmp_path / "report.csv"
+    target.write_text("k,mu,mertens\n1,1,1\n")
+    code, _, err = run_cli(["sieve", "--lo", "0", "-o", str(target)], capsys)
+    assert code == 2 and "lo <= hi" in err
+    assert target.read_text() == "k,mu,mertens\n1,1,1\n"
+    fresh = tmp_path / "fresh.csv"
+    code, _, _ = run_cli(["sieve", "--lo", "0", "-o", str(fresh)], capsys)
+    assert code == 2 and not fresh.exists()
 
 
 def test_exit_one_on_induction_violation(tmp_path, capsys):

@@ -6,27 +6,15 @@ import numpy as np
 import pytest
 
 from mertenskit import (
-    BoundParams,
     SequenceCache,
     check_induction_step,
     induction_sweep,
     mertens_square_table,
-    sup_mertens,
     verify_eq17,
     verify_eq18,
 )
 from mertenskit import arith, induction
 from mertenskit.induction import sup_curves
-
-
-def test_bound_params_validation():
-    BoundParams(x0=3, C=0.5, n=1)
-    with pytest.raises(ValueError):
-        BoundParams(x0=2, C=0.5, n=1)
-    with pytest.raises(ValueError):
-        BoundParams(x0=3, C=0.0, n=1)
-    with pytest.raises(ValueError):
-        BoundParams(x0=3, C=0.5, n=0)
 
 
 def test_square_table_matches_direct_sieve(cache_small, monkeypatch):
@@ -61,21 +49,18 @@ def test_square_table_injected_mu(cache_small):
 
 
 def test_sup_mertens_oracle_x10():
-    rec = sup_mertens(10)
+    row = check_induction_step(10)
     # |M_y| first hits 2 at y=5; |M_{y^2}| first hits 4 at y=9 (M_81=-4).
-    assert (rec.sup_M, rec.argmax_y) == (2, 5)
-    assert (rec.sup_M_sq, rec.argmax_y_sq) == (4, 9)
+    assert (row.sup_M, row.argmax_y) == (2, 5)
+    assert (row.sup_M_sq, row.argmax_y_sq) == (4, 9)
     with pytest.raises(ValueError):
-        sup_mertens(2)
+        check_induction_step(2)
 
 
 def test_sup_reaches_past_a_covering_cache(monkeypatch):
     # One SequenceCache over 3200^2 would be charged 2.05e8 B; the
     # segmented square table stays within this budget.
     monkeypatch.setenv("MERTENSKIT_MEMORY_BUDGET", "200000000")
-    rec = sup_mertens(3200)
-    assert (rec.sup_M, rec.argmax_y) == (25, 2803)
-    assert (rec.sup_M_sq, rec.argmax_y_sq) == (1212, 3193)
     row = check_induction_step(3200)
     assert (row.sup_M, row.argmax_y) == (25, 2803)
     assert (row.sup_M_sq, row.argmax_y_sq) == (1212, 3193)
@@ -132,7 +117,7 @@ def test_sweep_all_grid_clean(cache_small):
     assert all(r.step_holds for r in report.rows)
     assert report.max_ratio == max(r.ratio for r in report.rows)
     assert report.minimal_C == max(r.minimal_C for r in report.rows)
-    assert report.params.C == report.minimal_C and report.params.x0 == 3
+    assert induction.BOUND_X0 == 3
     # Rows are keyed by x in increasing order.
     xs = [r.x for r in report.rows]
     assert xs == sorted(xs) and xs[0] == 3 and xs[-1] == 200

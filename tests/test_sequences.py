@@ -192,18 +192,18 @@ def test_mertens_sublinear_pinned_at_1e11(monkeypatch):
 
 
 def test_oscillatory_exact_oracles(cache_small):
-    assert oscillatory(3, 1, "exact").value == Fraction(1, 6)
+    assert oscillatory(3, 1, "exact") == Fraction(1, 6)
     # m_4 = 1 - 1/2 - 1/3 = 1/6 as well (mu(4) = 0).
-    assert oscillatory(4, 1, "exact").value == Fraction(1, 6)
-    assert oscillatory(10, 0, "exact", cache_small).value == -1
+    assert oscillatory(4, 1, "exact") == Fraction(1, 6)
+    assert oscillatory(10, 0, "exact", cache_small) == -1
     v = oscillatory(200, 1, "exact", cache_small)
-    assert v.mode == "exact" and v.value.denominator > 1
+    assert isinstance(v, Fraction) and v.denominator > 1
 
 
 def test_oscillatory_exact_vs_float(cache_small):
     for x in (7, 50, 137, 200):
-        exact = oscillatory(x, 1, "exact", cache_small).value
-        approx = oscillatory(x, 1, "float", cache_small).value
+        exact = oscillatory(x, 1, "exact", cache_small)
+        approx = oscillatory(x, 1, "float", cache_small)
         assert abs(approx - float(exact)) < 1e-13
 
 
@@ -442,11 +442,11 @@ def test_window_identities_share_one_exact_table(monkeypatch):
             assert verify(x, mode="exact", cache=cache).passed
         for verify in (verify_eq2, verify_eq12):
             assert verify(x, x + 1, mode="exact", cache=cache).passed
-    m_200 = oscillatory(200, 1, "exact", cache=cache).value
+    m_200 = oscillatory(200, 1, "exact", cache=cache)
     h_150 = cache.exact_sums(150).harmonic(150)
     assert len(built) == 1
     # Without a cache, oscillatory() and harmonic() build their own table.
-    assert m_200 == oscillatory(200, 1, "exact").value == sum(
+    assert m_200 == oscillatory(200, 1, "exact") == sum(
         Fraction(int(cache.mu[k]), k) for k in range(1, 201))
     assert h_150 == harmonic(150, 1, "exact") == sum(
         Fraction(1, k) for k in range(1, 151))
@@ -503,7 +503,7 @@ def test_cache_is_the_same_in_any_segments(limit, monkeypatch):
 
 def test_cache_exact_prefixes(cache_small):
     assert cache_small.exact_sums(10).harmonic(10) == Fraction(7381, 2520)
-    assert oscillatory(3, 1, "exact", cache=cache_small).value == Fraction(1, 6)
+    assert oscillatory(3, 1, "exact", cache=cache_small) == Fraction(1, 6)
     with pytest.raises(RationalBoundError):
         oscillatory(201, 1, "exact", cache=cache_small)
 
