@@ -23,12 +23,13 @@ __all__ = [
 # below hi = 2^31 (int32 product and k range), 18.0 B above (int64).
 _SIEVE_BYTES = 20
 
-# Values per window of _mertens_segments, the one loop that turns mu
-# into running Mertens sums.  A window's arrays set the scan's peak
-# memory, and each window pays 2 pi(sqrt(hi)) strided passes.  2^20 is
-# the smallest size no slower than 2^22 at lo = 1 and 10^10 (ns per
-# value, fastest of 3 in-process scans, three runs on a loaded 2-core
-# x86-64 host):
+# Values per window of _mobius_windows, the one loop that sieves mu in
+# windows.  A window's arrays set the scan's peak memory, and each
+# window pays 2 pi(sqrt(hi)) strided passes.  2^20 is the smallest size
+# no slower than 2^22 at lo = 1 and 10^10 (ns per value, fastest of 3
+# in-process scans of _mertens_segments, three runs on a loaded 2-core
+# x86-64 host).  The figures include that scan's int64 cumsum of every
+# value, which the induction square table no longer pays:
 #
 #   window                     2^18      2^19     2^20     2^21     2^22
 #   lo = 1,     3.6e7 values   20-26     17-23    17-22    19-22    22-28
@@ -125,25 +126,31 @@ def mobius_segment(lo: int, hi: int) -> MobiusTable:
     return MobiusTable(lo=lo, values=_mobius_range(lo, hi))
 
 
-def _scan_bytes(n: int) -> int:
-    """Peak bytes of _mertens_segments over n values, beside what the
-    caller keeps: the next window is sieved while the last window's mu
-    (int8) and running sums (int64) are still referenced."""
-    return (_SIEVE_BYTES + 9) * min(n, _SEGMENT)
+def _scan_bytes(n: int, held: int = 9) -> int:
+    """Peak bytes of a scan of n values in windows, beside what the caller
+    keeps: the next window is sieved while `held` bytes per value of the
+    last one are still referenced (9 in _mertens_segments: its mu, int8,
+    and running sums, int64)."""
+    return (_SIEVE_BYTES + held) * min(n, _SEGMENT)
 
 
-def _mertens_segments(lo: int, hi: int, base: int = 0, mu=None):
-    """Windows (seg_lo, mu, running) covering [lo, hi] in order, each of
-    at most _SEGMENT values: mu on [seg_lo, seg_lo + len(mu) - 1] and
-    running = base + the sums of mu from lo on, as int64.
+def _mobius_windows(lo: int, hi: int, mu=None):
+    """Windows (seg_lo, mu) covering [lo, hi] in order, each of at most
+    _SEGMENT values: mu on [seg_lo, seg_lo + len(mu) - 1].
 
     Each window's mu comes from mobius_segment, unless `mu` (mu at
     lo..hi, an int array) is given; then its slices replace the sieve.
     """
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        seg_mu = (mobius_segment(seg_lo, seg_hi).values if mu is None
-                  else mu[seg_lo - lo:seg_hi - lo + 1])
+        yield seg_lo, (mobius_segment(seg_lo, seg_hi).values if mu is None
+                       else mu[seg_lo - lo:seg_hi - lo + 1])
+
+
+def _mertens_segments(lo: int, hi: int, base: int = 0, mu=None):
+    """The windows of _mobius_windows as (seg_lo, mu, running), where
+    running = base + the sums of mu from lo on, as int64."""
+    for seg_lo, seg_mu in _mobius_windows(lo, hi, mu):
         running = np.cumsum(seg_mu, dtype=np.int64)
         running += base
         base = int(running[-1])

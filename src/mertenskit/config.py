@@ -6,6 +6,7 @@ memory/time for range.  The memory budget can be overridden through the
 """
 
 import os
+from decimal import Decimal
 
 # Absolute-residual tolerance for floating-point identity checks.
 DEFAULT_TOLERANCE = 1e-9
@@ -55,6 +56,8 @@ class CapacityError(MemoryError):
 def check_capacity(bytes_needed: int, what: str) -> None:
     budget = memory_budget()
     if bytes_needed > budget:
+        # Decimal formats ints of any size; a float would overflow.
         raise CapacityError(
-            f"{what} needs ~{bytes_needed} bytes, over the configured budget "
-            f"of {budget} (override with {_ENV_BUDGET})")
+            f"{what} needs ~{Decimal(bytes_needed):.3g} bytes, over the "
+            f"configured budget of {Decimal(budget):.3g} (override with "
+            f"{_ENV_BUDGET})")

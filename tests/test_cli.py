@@ -134,6 +134,16 @@ def test_exit_two_on_capacity(capsys, monkeypatch):
     assert code == 2 and "capacity" in err
 
 
+def test_capacity_message_is_short_for_a_huge_input(capsys):
+    # M(10^300) would need a base of about 5e200 bytes: the count is
+    # printed in scientific notation, not as 201 digits.
+    code, out, err = run_cli(["mertens", "--x", str(10 ** 300),
+                              "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert len(err) < 200
+    assert "sequence cache" in err and "MERTENSKIT_MEMORY_BUDGET" in err
+
+
 def test_sieve_report_is_charged_before_sieving(capsys, monkeypatch):
     # The sieve itself fits 10^7 B; its 10^5 JSON rows do not.
     def no_sieve(*args, **kwargs):
@@ -275,8 +285,10 @@ def test_exit_two_on_integer_past_float_range(args, name, capsys,
         raise AssertionError("a table was built for an input past float "
                              "range")
 
-    for module in (sequences, cli, induction):
-        monkeypatch.setattr(module, "_mertens_segments", no_table)
+    for module, attr in ((sequences, "_mertens_segments"),
+                         (cli, "_mertens_segments"),
+                         (induction, "_mobius_windows")):
+        monkeypatch.setattr(module, attr, no_table)
     code, out, err = run_cli(args + ["--no-timestamp"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {name} has ") and "float range" in err

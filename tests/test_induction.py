@@ -48,6 +48,42 @@ def test_square_table_injected_mu(cache_small):
         mertens_square_table(50, mu_values=true_mu[:100])  # too short
 
 
+@pytest.mark.parametrize("segment", [1, 2, 3, 49, 64])
+def test_square_table_block_sums_at_window_edges(segment, cache_small,
+                                                 monkeypatch):
+    # Windows of 1 to 3 values mostly hold no square.  Some windows end
+    # on a square: [3, 4], [7, 9], [1, 49], and [193, 256] and
+    # [513, 576] at 64 values.
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    m_small, m_sq = mertens_square_table(20)
+    ys = np.arange(0, 21, dtype=np.int64)
+    assert np.array_equal(m_small, cache_small.mertens[:21])
+    assert np.array_equal(m_sq, cache_small.mertens[ys * ys])
+
+
+@pytest.mark.parametrize("x_max", [1024, 1025])
+def test_square_table_at_the_shipped_window_edge(x_max):
+    # 1024^2 = 2^20 is the first window's last value: one window at
+    # 1024, a second of 2049 values at 1025.
+    cache = SequenceCache(x_max * x_max)
+    m_small, m_sq = mertens_square_table(x_max)
+    ys = np.arange(0, x_max + 1, dtype=np.int64)
+    assert np.array_equal(m_small, cache.mertens[:x_max + 1])
+    assert np.array_equal(m_sq, cache.mertens[ys * ys])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("segment", [64, 10 ** 6])
+def test_square_table_constant_injected_mu(sign, segment, monkeypatch):
+    # mu = +-1 everywhere gives M(k) = +-k, so M(y^2) = +-y^2.
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    m_small, m_sq = mertens_square_table(
+        40, mu_values=np.full(1600, sign, dtype=np.int64))
+    ys = np.arange(0, 41, dtype=np.int64)
+    assert np.array_equal(m_small, sign * ys)
+    assert np.array_equal(m_sq, sign * ys * ys)
+
+
 def test_sup_mertens_oracle_x10():
     row = check_induction_step(10)
     # |M_y| first hits 2 at y=5; |M_{y^2}| first hits 4 at y=9 (M_81=-4).
