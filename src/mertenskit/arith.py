@@ -147,10 +147,10 @@ def _mobius_windows(lo: int, hi: int, mu=None):
                        else mu[seg_lo - lo:seg_hi - lo + 1])
 
 
-def _mertens_segments(lo: int, hi: int, base: int = 0, mu=None):
-    """The windows of _mobius_windows as (seg_lo, mu, running), where
-    running = base + the sums of mu from lo on, as int64."""
-    for seg_lo, seg_mu in _mobius_windows(lo, hi, mu):
+def _mertens_segments(lo: int, hi: int, base: int = 0):
+    """The sieved windows of _mobius_windows as (seg_lo, mu, running),
+    where running = base + the sums of mu from lo on, as int64."""
+    for seg_lo, seg_mu in _mobius_windows(lo, hi):
         running = np.cumsum(seg_mu, dtype=np.int64)
         running += base
         base = int(running[-1])

@@ -28,9 +28,9 @@ plus one standalone identity,
 
     eq18  M_{x^2} = 2 M_x - x^2 m_x^2 + sum mu(i)mu(j) frac(x^2/ij)
 
-Each shape is one sum, evaluated in one of three arithmetics that
-supply the weight, the tables A and B, the total and the reading of
-the result:
+Each shape is one sum of weights times B at floor quotients, evaluated
+in one of three arithmetics that supply the weight, the tables A and B,
+the total of such a sum and the reading of the result:
 
     float          w(k) = k^-s in float64, the float prefix tables at s,
                    exactly rounded sums (extraction passes, then
@@ -43,13 +43,14 @@ the result:
                    of terms with p scaled factors is read back as a
                    Fraction over L^p
 
-An exact residual is identically zero or the check fails.  The square
-shape groups its double sum by product p = ij with multiplicity c_p,
-shrinking x^2 terms to the number of products realized below x^2.  The
-(p, c_p) come from the cache's grow-only product state, so a sweep over
-ascending x adds only each new shell k; exact sums further group the
-products by quotient floor(x^2/p) before the big-integer products.
-convolution_coeffs builds the same c_p as a dense table, independently.
+An exact total adds the weights of each quotient first (once a sum is
+long enough to pay for the sort), then multiplies each table entry
+once.  An exact residual is identically zero or the check fails.  The
+square shape groups its double sum by product p = ij with multiplicity
+c_p, shrinking x^2 terms to the number of products realized below x^2.
+The (p, c_p) come from the cache's grow-only product state, so a sweep
+over ascending x adds only each new shell k.  convolution_coeffs builds
+the same c_p as a dense table, independently.
 eq18 takes floor and remainder of x^2/ij from one divmod per pair of
 squarefree i, j <= x, and checks its pairwise floor sum equal to the
 sum eq17 groups, sum_p c_p floor(x^2/p) over the product state.
@@ -234,16 +235,6 @@ def convolution_coeffs(x: int, kind: str = "plain",
     return ConvolutionCoefficients(x=x, kind=kind, coeffs=c)
 
 
-def _exact(value, lhs, rhs) -> Residual:
-    return Residual(kind="exact", lhs=lhs, rhs=rhs, exact_value=value)
-
-
-def _float(value, lhs, rhs, tolerance) -> Residual:
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    return Residual(kind="float", lhs=lhs, rhs=rhs, float_value=value,
-                    tolerance=tol)
-
-
 # --- the Dirichlet pairs ----------------------------------------------------
 
 class _Pair(NamedTuple):
@@ -291,19 +282,38 @@ class _Lazy:
         return self.table(self.s)[k]
 
 
-def _int_sum(terms: np.ndarray) -> int:
-    """The sum of an integer array as a Python int.  Its entries are read
-    out as Python ints first: summing np.int64 scalars could wrap."""
-    return sum(terms.tolist())
+# Shorter exact sums are not grouped: the sort costs more than the
+# products it saves.  An exact s = 1 closure sum took 5.0 us ungrouped and
+# 6.5 grouped at x = 48, 11.4 and 9.6 at x = 96 (2-core x86-64 host).
+_GROUP_MIN = 64
+
+
+def _grouped_sum(weights: np.ndarray, qs: np.ndarray, B) -> int:
+    """sum weights * B[qs] as a Python int, from the products read out as
+    Python ints (summing np.int64 scalars could wrap).  From _GROUP_MIN
+    terms on the weights of each quotient are added first, so each table
+    entry, a big integer in the scaled arithmetic, is multiplied once."""
+    if len(qs) >= _GROUP_MIN:
+        order = qs.argsort()
+        qs = qs[order]
+        first = np.ones(len(qs), dtype=bool)  # where a new quotient starts
+        np.not_equal(qs[1:], qs[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        weights = np.add.reduceat(weights[order], starts,
+                                  dtype=np.result_type(weights, np.int64))
+        qs = qs[starts]
+    return sum((weights * B[qs]).tolist())
 
 
 class _Arith(NamedTuple):
     """One arithmetic for the sums of a Dirichlet pair with tables to n.
 
-    A term of a sum is a(.) or c_p times weights w(k) and table entries.
-    In the scaled arithmetic each weight and table entry is a numerator
-    over L, so a total of terms with p such factors is over L^p, and
-    value(total, p) reads it back; the other two ignore p.
+    Every shape sums weights * B[qs]: parts reduces that sum to a few
+    numbers, add gives their exact total (rounded once, for floats) and
+    total does both.  A weight is a(.) or c_p times w(k) factors.  In the
+    scaled arithmetic each weight and table entry is a numerator over L,
+    so a total of terms with p such factors is over L^p, and value(total,
+    p) reads it back; the other two ignore p.
     """
 
     a: np.ndarray        # a(k), k = 0..n
@@ -311,15 +321,27 @@ class _Arith(NamedTuple):
     B: object            # prefix sums of the Dirichlet inverse of a
     weight: Callable     # w(k) = k^-s over an int array
     weight_each: Callable  # the same, one scalar w(k) per k
-    total: Callable      # the sum of a 1-D array of terms
     value: Callable      # (total, p) -> float, int or Fraction
     one: int | float     # the closure's right-hand side
     kind: str            # Residual kind: "exact" or "float"
 
+    def parts(self, weights: np.ndarray, qs: np.ndarray) -> list:
+        """The extraction parts of the float terms, or the exact total."""
+        if self.kind == "float":
+            return _exact_parts(weights * self.B[qs])
+        return [_grouped_sum(weights, qs, self.B)]
+
+    def add(self, parts) -> int | float:
+        return fsum(parts) if self.kind == "float" else sum(parts)
+
+    def total(self, weights: np.ndarray, qs: np.ndarray) -> int | float:
+        return self.add(self.parts(weights, qs))
+
     def residual(self, value, lhs, rhs, tolerance) -> Residual:
         if self.kind == "exact":
-            return _exact(value, lhs, rhs)
-        return _float(value, lhs, rhs, tolerance)
+            return Residual("exact", lhs, rhs, exact_value=value)
+        return Residual("float", lhs, rhs, float_value=value, tolerance=(
+            DEFAULT_TOLERANCE if tolerance is None else tolerance))
 
 
 def _arith(pair: _Pair, n: int, s: float, mode: str,
@@ -343,17 +365,16 @@ def _arith(pair: _Pair, n: int, s: float, mode: str,
         A, B = pair.ab(_Lazy(cache.harmonic_float, s),
                        _Lazy(cache.oscillatory_float, s))
         return _Arith(a, A, B, lambda k: k.astype(np.float64) ** e,
-                      power_each, _exact_sum, lambda v, p: float(v), 1.0,
-                      "float")
+                      power_each, lambda v, p: float(v), 1.0, "float")
     if s == 0:
         A, B = pair.ab(_Count(), cache.mertens)
-        return _Arith(a, A, B, lambda k: 1, lambda k: 1, _int_sum,
-                      lambda v, p: int(v), 1, "exact")
+        return _Arith(a, A, B, lambda k: 1, lambda k: 1, lambda v, p: int(v),
+                      1, "exact")
     ss = cache.exact_sums(n)
     L = ss.denominator
     A, B = pair.ab(ss.harmonic_num, ss.oscillatory_num)
     return _Arith(a, A, B, ss.weights.__getitem__, ss.weights.__getitem__,
-                  _int_sum, lambda v, p: Fraction(v, L ** p), 1, "exact")
+                  lambda v, p: Fraction(v, L ** p), 1, "exact")
 
 
 # --- the three shapes -------------------------------------------------------
@@ -369,8 +390,7 @@ def _closure(pair: _Pair, x: int, s: float, mode: str,
     n = x if j is None else x * x // j
     ar = _arith(pair, x, s, mode, cache)
     i = np.arange(1, x + 1, dtype=np.int64)
-    terms = ar.a[1:x + 1] * ar.weight(i) * ar.B[n // i]
-    lhs = ar.value(ar.total(terms), 2)
+    lhs = ar.value(ar.total(ar.a[1:x + 1] * ar.weight(i), n // i), 2)
     return ar.residual(lhs - ar.one, lhs, ar.one, tolerance)
 
 
@@ -383,9 +403,8 @@ def _tail(pair: _Pair, x: int, s: float, mode: str,
     x^2 ln x terms.  The complementary head form (A_x minus the same
     double sum over i, j <= x) and the tail grouped column by column are
     checked too; one that disagrees while the main check passes is
-    reported instead.  Each column is kept only as parts with its exact
-    total (extraction passes for floats, the total of an exact sum), so
-    the work holds the per-j weights and one column at a time.
+    reported instead.  Each column is kept only as its parts, so the
+    work holds the per-j weights and one column at a time.
     """
     xx = x * x
     ar = _arith(pair, xx, s, mode, cache)
@@ -397,19 +416,15 @@ def _tail(pair: _Pair, x: int, s: float, mode: str,
     check_capacity(64 * len(js), "tail sum weights and columns")
     wa_j = ar.weight_each(js) * a[js]
     h = int(np.searchsorted(js, x, side="right"))  # js[:h] are the j <= x
-    head = ar.total((np.multiply.outer(wa_j[:h], wa_i)
-                     * ar.B[xx // np.multiply.outer(js[:h], i)]).ravel())
+    head = ar.total(np.multiply.outer(wa_j[:h], wa_i).ravel(),
+                    (xx // np.multiply.outer(js[:h], i)).ravel())
     head_form = ar.value(ar.A[x], 1) - ar.value(head, 3)
-    if ar.kind == "float":
-        split, add = _exact_parts, fsum
-    else:
-        split, add = (lambda terms: [ar.total(terms)]), sum
     ends = np.searchsorted(js, xx // i, side="right").tolist()
-    columns = [split(wa_j[h:end] * w * ar.B[xx // (js[h:end] * col)])
+    columns = [ar.parts(wa_j[h:end] * w, xx // (js[h:end] * col))
                for col, w, end in zip(range(1, x + 1), wa_i, ends)]
-    lhs = ar.value(add(v for parts in columns for v in parts), 3)
+    lhs = ar.value(ar.add(v for parts in columns for v in parts), 3)
     rhs = ar.value(ar.A[xx] - ar.A[x], 1)
-    grouped = ar.value(add(add(parts) for parts in columns), 3)
+    grouped = ar.value(ar.add(ar.add(parts) for parts in columns), 3)
     res = ar.residual(lhs - rhs, lhs, rhs, tolerance)
     for other in (head_form, grouped):
         check = ar.residual(lhs - other, lhs, rhs, tolerance)
@@ -421,28 +436,14 @@ def _tail(pair: _Pair, x: int, s: float, mode: str,
 def _square(pair: _Pair, x: int, s: float, mode: str,
             cache: SequenceCache | None, tolerance: float | None) -> Residual:
     """A_{x^2} = 2 A_x - sum_p c_p w(p) B_{floor(x^2/p)}, where c_p sums
-    a(i)a(j) over the products ij = p with i, j <= x.
-
-    (p, c_p) come from the cache's grow-only product state.  An exact
-    sum first adds c_p w(p) within each group of equal q = floor(x^2/p),
-    then multiplies each group total by B_q once, so about 2x big-integer
-    products replace one per product.  A float sum keeps one term per
-    product, as the reports pin those terms.
+    a(i)a(j) over the products ij = p with i, j <= x; (p, c_p) come from
+    the cache's grow-only product state.
     """
     xx = x * x
     cache = _covering(cache, xx)
     ps, cs = cache._products(x, pair.kind)
     ar = _arith(pair, xx, s, mode, cache)
-    qs = xx // ps
-    if ar.kind == "exact":
-        order = np.argsort(qs)
-        qs = qs[order]
-        starts = np.flatnonzero(np.diff(qs, prepend=-1))
-        groups = np.add.reduceat((cs * ar.weight(ps))[order], starts)
-        terms = groups * ar.B[qs[starts]]
-    else:
-        terms = cs * ar.weight(ps) * ar.B[qs]
-    inner = ar.value(ar.total(terms), 2)
+    inner = ar.value(ar.total(cs * ar.weight(ps), xx // ps), 2)
     lhs = ar.value(ar.A[xx], 1)
     rhs = 2 * ar.value(ar.A[x], 1) - inner
     return ar.residual(lhs - rhs, lhs, rhs, tolerance)
@@ -458,43 +459,39 @@ def _fraction_form(pair: _Pair, x: int, s: float, mode: str,
     pair (i, j) of squarefree i, j <= x; exact mode then checks the
     pairwise floor total equal to sum_p c_p floor(x^2/p) over the
     cache's Mobius products, the sum eq17 groups by quotient.  eq18
-    exists only for (mu, 1) at s = 1, so it reads mu, M and m_x directly
-    and takes `pair` and `s` for the common signature.
+    exists only for (mu, 1) at s = 1: m_x is the arithmetic's A at x,
+    and M_{x^2} is read from the cache's integer table.
     """
     xx = x * x
     cache = _covering(cache, xx)
-    lhs = int(cache.mertens[xx])
-    m_x = int(cache.mertens[x])
+    ar = _arith(pair, x, s, mode, cache)
+    lhs, mertens_x = int(cache.mertens[xx]), int(cache.mertens[x])
     sq = np.flatnonzero(cache.mu[1:x + 1]) + 1
     mu_sq = cache.mu[sq].astype(np.int64)
     prods = np.multiply.outer(sq, sq)
     q, r = np.divmod(xx, prods)
     if mode == "exact":
-        ss = cache.exact_sums(x)
-        L, w = ss.denominator, ss.weights[sq]
-        a_num = ss.oscillatory_num[x]
+        m, w = ar.A[x], ar.weight(sq)  # m_x and the w(i), over L
         # x^2 <= RATIONAL_BOUND^2, so the floor total fits in int64; the
         # remainders meet the big-integer weights once per row.
         floor_sum = int(mu_sq @ q @ mu_sq)
         frac_num = int(np.dot(mu_sq * w, (r * mu_sq).astype(object) @ w))
-        # Bridge: floor and fractional parts recombine to x^2 m_x^2.
-        bridge = xx * a_num * a_num - frac_num - L * L * floor_sum
-        resid_num = (lhs - 2 * m_x) * L * L + xx * a_num * a_num - frac_num
-        rhs = Fraction(2 * m_x * L * L - xx * a_num * a_num + frac_num, L * L)
-        val = Fraction(resid_num, L * L)
-        if val == 0 and bridge != 0:
-            val = Fraction(bridge, L * L)
+        # x^2 m_x^2 less the fractional parts is the floor total.
+        floors = ar.value(xx * m * m - frac_num, 2)
+        rhs = 2 * mertens_x - floors
+        val = lhs - rhs
+        if val == 0 and floors != floor_sum:
+            val = floors - floor_sum
         ps, cs = cache._products(x, "mobius")
         by_product = int(np.dot(cs, xx // ps))
         if val == 0 and floor_sum != by_product:
             val = Fraction(by_product - floor_sum)
-        return _exact(val, lhs, rhs)
-    m_f = float(cache.oscillatory_float(1.0)[x])
+        return ar.residual(val, lhs, rhs, tolerance)
+    m_f = ar.value(ar.A[x], 1)
     mu_f = mu_sq.astype(np.float64)
-    terms = np.multiply.outer(mu_f, mu_f) * r / prods
-    frac_sum = _exact_sum(terms.ravel())
-    rhs = 2.0 * m_x - xx * m_f * m_f + frac_sum
-    return _float(lhs - rhs, float(lhs), rhs, tolerance)
+    frac_sum = _exact_sum((np.multiply.outer(mu_f, mu_f) * r / prods).ravel())
+    rhs = 2.0 * mertens_x - xx * m_f * m_f + frac_sum
+    return ar.residual(lhs - rhs, float(lhs), rhs, tolerance)
 
 
 # --- the catalogue ----------------------------------------------------------

@@ -172,10 +172,10 @@ def _tail_sum():
     return lambda: identities.verify_eq3(300, 0.5, "float", cache)
 
 
-def _float_prefix():
-    """The oscillatory prefix table at s = 0.05 over a 10^6 cache built
-    before tracing, so the call charges only the table's build."""
-    cache = sequences.SequenceCache(10 ** 6)
+def _float_prefix(limit=10 ** 6):
+    """The oscillatory prefix table at s = 0.05 over a cache built before
+    tracing, so the call charges only the table's build."""
+    cache = sequences.SequenceCache(limit)
     return lambda: cache.oscillatory_float(0.05)
 
 
@@ -202,12 +202,15 @@ def _scaled_sums():
     (sequences, _square_products_growth()),
     (identities, _tail_sum()),
     (sequences, _float_prefix()),
+    # A table of one entry: the build's fixed cost alone.
+    (sequences, _float_prefix(1)),
     (exact, _scaled_sums()),
 ], ids=["mobius_sieve", "mobius_segment", "mobius_segment_int64",
         "sublinear_base", "sequence_cache",
         "sequence_cache_segmented", "square_table", "square_table_default",
         "sieve_csv", "sieve_json",
-        "square_products", "tail_sum", "float_prefix", "scaled_sums"])
+        "square_products", "tail_sum", "float_prefix", "float_prefix_small",
+        "scaled_sums"])
 def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     # A request the budget accepts must not allocate more than it charged.
     charged = []
@@ -221,3 +224,17 @@ def test_capacity_charge_covers_traced_peak(module, call, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(charged) == 1 and charged[0] >= peak
+
+
+def test_float_prefix_build_holds_no_index_array():
+    # The powers come straight from the index range, so the build holds
+    # the powers, the table and _compensated_cumsum's temporaries (33 B
+    # per entry), and no float64 array of k beside them (41 B).
+    build = _float_prefix()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * (10 ** 6 + 1)

@@ -34,7 +34,8 @@ from mertenskit import (
     verify_eq17,
     verify_eq18,
 )
-from mertenskit.sequences import ExactModeError, RationalBoundError
+from mertenskit.identities import _MU_ONE, _ONE_MU, _arith
+from mertenskit.sequences import ExactModeError, RationalBoundError, _exact_sum
 
 
 # --- case plumbing --------------------------------------------------------
@@ -118,6 +119,37 @@ def test_convolution_matches_bruteforce():
 def test_convolution_rejects_bad_kind():
     with pytest.raises(ValueError):
         convolution_coeffs(3, "fast")
+
+
+# --- the one reduction -------------------------------------------------------
+
+@pytest.mark.parametrize("mode, s", [("float", 0.5), ("exact", 0.0),
+                                     ("exact", 1.0)])
+@pytest.mark.parametrize("size", [0, 1, 9, 300])
+def test_arith_total_is_the_ungrouped_sum(cache_small, mode, s, size):
+    # Every shape sums weights * B[qs] through _Arith.  An exact total
+    # adds the weights of each quotient first (from 64 terms on, so 300
+    # terms group and 9 do not) and must equal the plain integer sum of
+    # the products; a float total is the exactly rounded sum of the terms
+    # as written, bit for bit.  The quotients are unsorted with repeats
+    # and include B_0 = 0; every tail case ends on an empty column.
+    rng = np.random.default_rng(size)
+    for pair in (_ONE_MU, _MU_ONE):
+        ar = _arith(pair, 120, s, mode, cache_small)
+        ks = rng.integers(1, 121, size)
+        weights = ar.a[ks] * ar.weight(ks)
+        qs = rng.integers(0, 12, size)
+        got = ar.total(weights, qs)
+        half = size // 2
+        split = ar.add(ar.parts(weights[:half], qs[:half])
+                       + ar.parts(weights[half:], qs[half:]))
+        if mode == "float":
+            want = _exact_sum(weights * ar.B[qs])
+            assert got.hex() == split.hex() == want.hex(), pair
+        else:
+            want = sum(int(w) * int(b) for w, b in
+                       zip(weights.tolist(), ar.B[qs].tolist()))
+            assert got == split == want, pair
 
 
 # --- exact zero residuals across the catalogue ------------------------------
