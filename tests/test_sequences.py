@@ -9,7 +9,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from math import fsum, inf, ldexp, log, nan
+from math import fsum, inf, isqrt, ldexp, log, nan
 
 import numpy as np
 import pytest
@@ -85,6 +85,76 @@ def test_sublinear_recursion_at_the_quotient_edges():
         memo = {}
         assert sequences._mertens_recurse(v, tab, 1024, memo) == tab[v], v
         assert all(m == tab[u] for u, m in memo.items()), v
+
+
+def test_float_quotients_are_floor_division():
+    # Short divisor slices keep every array small.  v = q*i sits on a
+    # quotient step and q*i - 1 just below it, up to the 2^53 limit.
+    ks = np.arange(1, 65, dtype=np.float64)
+
+    def check(v):
+        got = sequences._quotients(v, ks)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v // i for i in range(1, 65)], v
+
+    rng = random.Random(20261020)
+    for i in range(1, 65):
+        top = (2 ** 53 - 1) // i
+        for q in (1, 2, 3, 10 ** 6, top - 1, top):
+            check(q * i)
+            check(q * i - 1)
+    for v in [0, 2 ** 53 - 1] + [rng.randrange(2 ** 53) for _ in range(2000)]:
+        check(v)
+    # 2^53 + 1 does not convert to float64 exactly, so only the int64
+    # path gets it right.
+    assert float(2 ** 53 + 1) / 1.0 == 2 ** 53
+    check(2 ** 53)
+    check(2 ** 53 + 1)
+    # A divisor of 2.5 tells the paths apart: int64 truncates it to 2.
+    half = np.array([2.5])
+    assert sequences._quotients(2 ** 53 - 1, half)[0] == 3602879701896396
+    assert sequences._quotients(2 ** 53, half)[0] == 2 ** 52
+    assert sequences._quotients(2 ** 53 + 1, half)[0] == 2 ** 52
+
+
+def test_sublinear_recursion_over_the_smallest_exact_table():
+    # With tab_limit = isqrt(v) there are about isqrt(v) nodes, so the
+    # big[n*i] reads run several levels deep; every node a call
+    # memoizes is checked as well.
+    cache = SequenceCache(3 * 10 ** 6)
+    tab = cache.mertens
+    edges = [v for d in (33, 34, 35, 64, 100, 317, 1000, 1731)
+             for v in (d * d - 1, d * d, d * d + d - 1, d * d + d,
+                       (d + 1) ** 2 - 1)]
+    rng = random.Random(20261021)
+    for v in edges + [1, 2, 3] + [rng.randint(1, 3 * 10 ** 6)
+                                  for _ in range(100)]:
+        memo = {}
+        got = sequences._mertens_recurse(v, tab, isqrt(v), memo)
+        assert got == tab[v], v
+        assert all(m == tab[u] for u, m in memo.items()), v
+
+
+def test_sublinear_neighbour_adds_only_its_new_quotients(cache_square):
+    # After M(x), M(x - 1) computes only the quotients (x-1)//n above the
+    # table that the memo lacks: those where n divides x.
+    limit = 5000
+    cache = SequenceCache(limit)
+    memo = cache._sublinear_memo
+    rng = random.Random(20261022)
+    added = 0
+    for x in [10 ** 6, 720720] + [rng.randint(10 ** 5, 10 ** 6)
+                                  for _ in range(20)]:
+        assert mertens_sublinear(x, cache) == cache_square.mertens[x], x
+        before = set(memo)
+        y = x - 1
+        assert mertens_sublinear(y, cache) == cache_square.mertens[y], y
+        quotients = {y // n for n in range(1, y // (limit + 1) + 1)}
+        assert set(memo) - before == quotients - before, x
+        added += len(quotients - before)
+        assert all(x % n == 0 for n in range(1, y // (limit + 1) + 1)
+                   if y // n not in before), x
+    assert added > 0
 
 
 def test_sublinear_reuses_supplied_cache(cache_small):
