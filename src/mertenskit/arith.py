@@ -29,7 +29,7 @@ _SIEVE_BYTES = 20
 # no slower than 2^22 at lo = 1 and 10^10 (ns per value, fastest of 3
 # in-process scans of _mertens_segments, three runs on a loaded 2-core
 # x86-64 host).  The figures include that scan's int64 cumsum of every
-# value, which the induction square table no longer pays:
+# value, which _mertens_at, the point-set scan, does not pay:
 #
 #   window                     2^18      2^19     2^20     2^21     2^22
 #   lo = 1,     3.6e7 values   20-26     17-23    17-22    19-22    22-28
@@ -145,6 +145,27 @@ def _mobius_windows(lo: int, hi: int, mu=None):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
         yield seg_lo, (mobius_segment(seg_lo, seg_hi).values if mu is None
                        else mu[seg_lo - lo:seg_hi - lo + 1])
+
+
+def _mertens_at(points: np.ndarray, mu=None) -> np.ndarray:
+    """M at sorted distinct int64 points >= 1, as int64.
+
+    One pass of _mobius_windows over [1, points[-1]], `mu` as its
+    injected mu.  Per window, one reduceat sums mu over the blocks
+    (p_{i-1}, p_i] the window meets, the block still open at its end
+    carried into the next window; one cumsum of the block sums gives M.
+    Only mobius_segment charges memory; the caller charges the points.
+    """
+    sums = np.zeros(len(points), dtype=np.int64)
+    block = 0
+    for lo, seg_mu in _mobius_windows(1, int(points[-1]), mu):
+        hi = lo + len(seg_mu) - 1
+        inner = points.searchsorted(hi)
+        starts = np.concatenate(([0], points[block:inner] - (lo - 1)))
+        sums[block:inner + 1] += np.add.reduceat(seg_mu, starts,
+                                                 dtype=np.int64)
+        block = points.searchsorted(hi, "right")
+    return np.cumsum(sums, out=sums)
 
 
 def _mertens_segments(lo: int, hi: int, base: int = 0):

@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -196,8 +197,13 @@ def _run_gamma(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
 def _run_induction(args: argparse.Namespace) -> tuple[list[dict], dict, int]:
     mu_values = None
     if args.mu_file:
-        # In file order, however many values a line holds.
-        mu_values = np.loadtxt(args.mu_file, dtype=np.int64, ndmin=1).ravel()
+        # In file order, however many values a line holds.  A file with
+        # no values is refused as too short, without numpy's warning.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            mu_values = np.loadtxt(args.mu_file, dtype=np.int64,
+                                   ndmin=1).ravel()
         bad = np.flatnonzero(np.abs(mu_values) > 1)
         if bad.size:
             k = int(bad[0])

@@ -8,10 +8,11 @@ through to x^2.  At each x this module compares
 
 the left side is the sup over [3, x^2] at the squares only.  Both come
 from one windowed sieve of mu up to x^2 (x = 10^4: 10^8 sieved values),
-summed in blocks between consecutive squares, so M is formed only at
-y <= x and at the squares.  check_induction_step(x) gives the row at x,
-suprema included; a sweep reports the rows, the worst step ratio and
-the minimal admissible C.  Chaining the bound to all of [3, x^2] needs
+summed by arith._mertens_at in blocks between consecutive points of
+{1..x} and the squares, so M is formed only at y <= x and at the
+squares.  check_induction_step(x) gives the row at x, suprema
+included; a sweep reports the rows, the worst step ratio and the
+minimal admissible C.  Chaining the bound to all of [3, x^2] needs
 the sup over the whole range, which is not computed here.
 """
 
@@ -21,7 +22,7 @@ from math import isfinite, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import _mobius_windows, _scan_bytes
+from .arith import _mertens_at, _scan_bytes
 from .config import check_capacity
 
 __all__ = [
@@ -67,19 +68,21 @@ def mertens_square_table(x_max: int, mu_values=None):
     """Mertens prefix values at 1..x_max and at the squares y^2, y <= x_max.
 
     Returns (m_small, m_sq): int64 arrays indexed by k and by y, slot 0
-    zero.  mu is taken in windows over [1, x_max^2], so only one
-    window's memory is live, and no window's prefix is formed: one
-    reduceat per window adds its sums of mu over the blocks
-    ((y - 1)^2, y^2] it meets to m_sq[y] (a block that straddles windows
-    is summed in parts), its mu at k <= x_max goes to m_small[k], and
-    one cumsum of each table at the end gives the prefix values.
+    zero.  Both come from one arith._mertens_at scan of mu over
+    [1, x_max^2] at the points 1..x_max and y^2 for y > sqrt(x_max):
+    mu is taken in windows, so only one window's memory is live, and
+    mu is summed in blocks between consecutive points, so M is formed
+    only at those points.  The charge is one window's bytes plus 56 B
+    per y: the point set and its block sums hold 32, as do M and the
+    two tables after the scan (a first call traced 50 B per y at
+    64-value windows and x_max = 150, block starts included).
     `mu_values` (mu at k = 1..x_max^2, any int array-like) replaces the
     sieve when given; this is the hook for synthetic-counterexample runs.
     """
     if x_max < BOUND_X0:
         raise ValueError(f"x_max must be >= {BOUND_X0}, got {x_max}")
     limit = x_max * x_max
-    check_capacity(_scan_bytes(limit, held=1) + 16 * x_max,
+    check_capacity(_scan_bytes(limit, held=1) + 56 * x_max,
                    "segmented square table")
     mu = None
     if mu_values is not None:
@@ -88,23 +91,14 @@ def mertens_square_table(x_max: int, mu_values=None):
         if len(mu) < limit:
             raise ValueError(
                 f"mu_values must cover 1..{limit}, got {len(mu)} entries")
-    m_small = np.zeros(x_max + 1, dtype=np.int64)
-    m_sq = np.zeros(x_max + 1, dtype=np.int64)
-    for lo, seg_mu in _mobius_windows(1, limit, mu=mu):
-        hi = lo + len(seg_mu) - 1
-        if lo <= x_max:
-            top = min(hi, x_max)
-            m_small[lo:top + 1] = seg_mu[:top - lo + 1]
-        # Block y ends at index y^2 - lo of the window, and the one after
-        # the window's last square runs on to the next window.  limit is
-        # a square, so the last window opens no block past x_max.
-        y_lo = isqrt(lo - 1) + 1
-        squares = np.arange(y_lo, isqrt(hi) + 1, dtype=np.int64) ** 2
-        starts = np.concatenate(([0], squares[squares < hi] - (lo - 1)))
-        m_sq[y_lo:y_lo + len(starts)] += np.add.reduceat(
-            seg_mu, starts, dtype=np.int64)
-    np.cumsum(m_small, out=m_small)
-    np.cumsum(m_sq, out=m_sq)
+    # The squares up to x_max are among 1..x_max; the rest follow them.
+    root = isqrt(x_max)
+    m = _mertens_at(np.concatenate((
+        np.arange(1, x_max + 1, dtype=np.int64),
+        np.arange(root + 1, x_max + 1, dtype=np.int64) ** 2)), mu)
+    m_small = np.concatenate(([0], m[:x_max]))
+    m_sq = np.concatenate(
+        ([0], m[np.arange(1, root + 1) ** 2 - 1], m[x_max:]))
     return m_small, m_sq
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mertenskit import (
+    SequenceCache,
     arith,
     cli,
     exact,
@@ -139,16 +140,83 @@ def test_mobius_table_indexing():
         seg[61]
 
 
+# _mertens_at against a full prefix of the sieve.  A scan to _top(s)
+# crosses up to 200 windows of s values.
+_POINTS_TOP = (1 << 21) + 2
+
+
+def _top(segment):
+    return min(200 * segment, _POINTS_TOP)
+
+
+@pytest.fixture(scope="module")
+def mertens_prefix():
+    return np.cumsum(SequenceCache(_POINTS_TOP).mu, dtype=np.int64)
+
+
+def _sorted_points(values):
+    return np.unique(np.asarray(values, dtype=np.int64))
+
+
+_POINT_SETS = {
+    "point_one": lambda s: [1],
+    "last_value_alone": lambda s: [_top(s)],
+    # Each window's last value and the one past it.
+    "window_edges": lambda s: [s, s + 1, 2 * s, 2 * s + 1],
+    "dense_run": lambda s: [*range(1, 150), *range(max(1, s - 40), s + 40)],
+    "gap_over_windows": lambda s: [2, 3, _top(s) - 1, _top(s)],
+}
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 64, 1 << 20])
+@pytest.mark.parametrize("case", list(_POINT_SETS))
+def test_mertens_at_point_sets(case, segment, mertens_prefix, monkeypatch):
+    # Every set fails on a scan that drops each window's first part, the
+    # block carried in; window_edges also on one that carries into the
+    # block closed on the last window's last value.
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    points = _sorted_points(_POINT_SETS[case](segment))
+    assert np.array_equal(arith._mertens_at(points), mertens_prefix[points])
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 64, 1 << 20])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mertens_at_random_subsets(seed, segment, mertens_prefix,
+                                   monkeypatch):
+    # Sizes from one point to a quarter of the range; both scans above
+    # fail here, and so does one with no final cumsum of the block sums.
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    rng = np.random.default_rng(seed)
+    top = _top(segment)
+    for size in (1, 5, max(1, top // 4)):
+        points = np.sort(rng.choice(np.arange(1, top + 1, dtype=np.int64),
+                                    size=size, replace=False))
+        assert np.array_equal(arith._mertens_at(points),
+                              mertens_prefix[points]), size
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("segment", [1, 2, 3, 64, 1 << 20])
+def test_mertens_at_injected_constant_mu(sign, segment, monkeypatch):
+    # mu = +-1 everywhere gives M(p) = +-p; a scan that sieves in place
+    # of the injected mu fails here.
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    top = _top(segment)
+    points = _sorted_points([1, 2, segment, segment + 1, top // 3, top])
+    mu = np.full(top, sign, dtype=np.int8)
+    assert np.array_equal(arith._mertens_at(points, mu), sign * points)
+
+
 def _sieve_report(fmt):
     assert cli.main(["sieve", "--lo", "1", "--hi", "100000", "--format", fmt,
                      "--no-timestamp", "-o", os.devnull]) == 0
 
 
-def _in_segments(call):
+def _in_segments(call, segment=1 << 18):
     # 2^18-value windows: a range of 10^6 values takes four, so each is
     # sieved beside the last one's mu and running sums.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "_SEGMENT", 1 << 18)
+        mp.setattr(arith, "_SEGMENT", segment)
         call()
 
 
@@ -196,6 +264,9 @@ def _scaled_sums():
         lambda: induction.mertens_square_table(1000))),
     # The window size that ships: 1.21e6 values in two windows.
     (induction, lambda: induction.mertens_square_table(1100)),
+    # 64-value windows, where the per-y part is most of the peak.
+    (induction, lambda: _in_segments(
+        lambda: induction.mertens_square_table(150), 64)),
     # The whole command in each format: sieve, row dicts and report text.
     (cli, lambda: _sieve_report("csv")),
     (cli, lambda: _sieve_report("json")),
@@ -208,6 +279,7 @@ def _scaled_sums():
 ], ids=["mobius_sieve", "mobius_segment", "mobius_segment_int64",
         "sublinear_base", "sequence_cache",
         "sequence_cache_segmented", "square_table", "square_table_default",
+        "square_table_small_windows",
         "sieve_csv", "sieve_json",
         "square_products", "tail_sum", "float_prefix", "float_prefix_small",
         "scaled_sums"])

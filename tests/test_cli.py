@@ -4,12 +4,13 @@ import csv
 import hashlib
 import json
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from mertenskit import SequenceCache, mertens_sublinear, mobius_segment
-from mertenskit import arith, cli, identities, induction, sequences
+from mertenskit import arith, cli, identities, sequences
 from mertenskit.cli import main
 
 
@@ -287,7 +288,7 @@ def test_exit_two_on_integer_past_float_range(args, name, capsys,
 
     for module, attr in ((sequences, "_mertens_segments"),
                          (cli, "_mertens_segments"),
-                         (induction, "_mobius_windows")):
+                         (arith, "_mobius_windows")):
         monkeypatch.setattr(module, attr, no_table)
     code, out, err = run_cli(args + ["--no-timestamp"], capsys)
     assert code == 2 and out == ""
@@ -345,6 +346,20 @@ def test_exit_two_on_short_mu_file(tmp_path, capsys):
                               str(mu_file), "--no-timestamp"], capsys)
     assert code == 2 and out == ""
     assert "2500" in err
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+def test_exit_two_on_mu_file_with_no_values(text, tmp_path, capsys):
+    # The length check refuses the file; numpy's empty-input warning
+    # stays out of stderr.
+    mu_file = tmp_path / "mu.txt"
+    mu_file.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["induction", "--x-max", "3", "--mu-file",
+                                  str(mu_file), "--no-timestamp"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: mu_values must cover 1..9, got 0 entries\n"
 
 
 def test_exit_two_on_vanishing_mertens_sum(tmp_path, capsys):
